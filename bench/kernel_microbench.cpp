@@ -2,7 +2,7 @@
 /// substrate.  These are engineering benchmarks, not paper experiments —
 /// they bound how large a constellation-scale study the library supports.
 ///
-/// `bench_kernel --json [ops]` bypasses google-benchmark and times the three
+/// `bench_kernel --json [ops]` bypasses google-benchmark and times the
 /// canonical kernel workloads from bench/kernel_workloads.hpp, printing one
 /// machine-readable JSON object (ops/sec per workload).  That mode is what
 /// scripts/bench_baseline.sh records into BENCH_kernel.json and what
@@ -146,11 +146,13 @@ int run_json_mode(std::uint64_t ops) {
   const double schedule_fire = best_rate(bench::wl_schedule_fire, ops);
   const double cancel_heavy = best_rate(bench::wl_cancel_heavy, ops);
   const double timer_rearm = best_rate(bench::wl_timer_rearm, ops);
+  const double reschedule = best_rate(bench::wl_reschedule, ops);
   std::printf("{\n");
   std::printf("  \"ops\": %llu,\n", static_cast<unsigned long long>(ops));
   std::printf("  \"schedule_fire_ops_per_sec\": %.0f,\n", schedule_fire);
   std::printf("  \"cancel_heavy_ops_per_sec\": %.0f,\n", cancel_heavy);
-  std::printf("  \"timer_rearm_ops_per_sec\": %.0f\n", timer_rearm);
+  std::printf("  \"timer_rearm_ops_per_sec\": %.0f,\n", timer_rearm);
+  std::printf("  \"reschedule_ops_per_sec\": %.0f\n", reschedule);
   std::printf("}\n");
   return 0;
 }

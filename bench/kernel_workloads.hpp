@@ -1,6 +1,6 @@
 #pragma once
 /// \file kernel_workloads.hpp
-/// \brief The three canonical event-kernel workloads timed by
+/// \brief The canonical event-kernel workloads timed by
 /// `bench_kernel --json` and recorded in BENCH_kernel.json.
 ///
 /// They are defined here (header-only, against the public Simulator API
@@ -16,9 +16,14 @@
 ///  - timer_rearm   : a small set of protocol timers each re-armed far in
 ///    the future over and over (cancel + re-schedule), then drained; the
 ///    tombstone-accumulation worst case (one op = one re-arm).
+///  - reschedule    : the LAMS checkpoint-timer pattern — timers whose
+///    deadline only ever moves later — re-armed through the kernel's re-arm
+///    primitive (`Simulator::rearm` where the kernel has one, cancel +
+///    schedule otherwise), then drained (one op = one re-arm).
 
 #include <chrono>
 #include <cstdint>
+#include <utility>
 
 #include "lamsdlc/core/simulator.hpp"
 
@@ -83,6 +88,35 @@ inline WorkloadResult wl_timer_rearm(std::uint64_t n) {
       if (timers[t] != 0) sim.cancel(timers[t]);
       timers[t] = sim.schedule_in(
           Time::seconds_int(3600 + static_cast<std::int64_t>(i % 60)), [] {});
+    }
+    sim.run();
+  });
+}
+
+/// Re-arm \p id to \p at through the best primitive the kernel offers.
+template <typename Sim, typename Cb>
+EventId rearm_timer(Sim& sim, EventId id, Time at, Cb cb) {
+  if constexpr (requires { sim.rearm(id, at, std::move(cb)); }) {
+    return sim.rearm(id, at, std::move(cb));
+  } else {
+    if (id != 0) sim.cancel(id);
+    return sim.schedule_at(at, std::move(cb));
+  }
+}
+
+inline WorkloadResult wl_reschedule(std::uint64_t n) {
+  return time_workload(n, [n] {
+    Simulator sim;
+    // 8 checkpoint-style timers pushed later on every re-arm, as a sender
+    // does on each checkpoint it processes.
+    constexpr std::uint64_t kTimers = 8;
+    EventId timers[kTimers] = {};
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const auto t = i % kTimers;
+      timers[t] = rearm_timer(
+          sim, timers[t],
+          Time::seconds_int(3600) + Time::microseconds(static_cast<std::int64_t>(i)),
+          [] {});
     }
     sim.run();
   });

@@ -50,6 +50,8 @@ class GbnSender final : public sim::DlcSender, public link::FrameSink {
     std::uint32_t attempts = 0;
   };
 
+  /// True when try_send() would transmit (or advance its resend cursor).
+  [[nodiscard]] bool has_work() const;
   void try_send();
   void release_below(std::uint64_t ctr);
   void go_back_to(std::uint64_t ctr);

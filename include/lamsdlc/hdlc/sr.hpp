@@ -68,7 +68,11 @@ class SrSender final : public sim::DlcSender, public link::FrameSink {
     std::uint32_t attempts = 0;
   };
 
+  /// True when try_send() would transmit (or prune its retransmit queue).
+  [[nodiscard]] bool has_work() const;
   void try_send();
+  /// Poll sent: enter the response wait and start t_out.
+  void await_response();
   void send_iframe(std::uint64_t ctr, bool poll);
   [[nodiscard]] std::uint64_t ack_counter(frame::Seq nr) const;
   void handle_rr(const frame::HdlcSFrame& s);

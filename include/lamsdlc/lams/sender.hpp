@@ -177,6 +177,8 @@ class LamsSender final : public sim::DlcSender, public link::FrameSink {
   /// @}
 
  private:
+  /// True when try_send() would transmit or arm the pacing timer.
+  [[nodiscard]] bool has_work() const;
   void try_send();
   void send_iframe(Pending p);
   void handle_checkpoint(const frame::CheckpointFrame& cp);

@@ -59,9 +59,21 @@ class FrameChannel {
   /// Queue a frame for transmission (FIFO at the channel's data rate).
   virtual void send(frame::Frame f) = 0;
 
-  /// Invoked whenever the serializer finishes the last queued frame; lets a
-  /// saturating sender keep the pipe full without polling.
-  virtual void set_idle_callback(std::function<void()> cb) = 0;
+  /// Install the sender's transmit hook.  \p on_idle runs whenever the
+  /// serializer finishes the last queued frame (and when a downed channel
+  /// comes back up); it lets a saturating sender keep the pipe full without
+  /// polling.  \p has_work says whether \p on_idle would do anything right
+  /// now.  A backend may skip a completion whose callback would find nothing
+  /// to send, so the predicate must never return false while \p on_idle
+  /// would act; returning true needlessly only costs an event.
+  virtual void set_idle_callback(std::function<void()> on_idle,
+                                 std::function<bool()> has_work) = 0;
+
+  /// The sender's `has_work()` may just have turned true.  A sender calls
+  /// this wherever it gains work that it does not transmit on the spot
+  /// (typically because the channel is busy), so a frame mid-serialization
+  /// still owes it the idle callback when it completes.
+  virtual void note_work() {}
 
   /// True while the serializer has work queued or in progress.
   [[nodiscard]] virtual bool busy() const = 0;
@@ -180,11 +192,14 @@ class SimplexChannel final : public FrameChannel {
   /// order at the data rate.
   void send(frame::Frame f) override;
 
-  /// Invoked whenever the serializer finishes the last queued frame; lets a
-  /// saturating sender keep the pipe full without polling.
-  void set_idle_callback(std::function<void()> cb) override {
-    idle_cb_ = std::move(cb);
-  }
+  /// See `FrameChannel::set_idle_callback`.  The serializer-completion event
+  /// is inserted into the kernel only when \p has_work (or a queued frame)
+  /// needs it; otherwise its key is merely reserved.
+  /// \throws std::invalid_argument if exactly one of the two is empty.
+  void set_idle_callback(std::function<void()> on_idle,
+                         std::function<bool()> has_work) override;
+
+  void note_work() override;
 
   /// Instant the serializer becomes free (== now when idle).
   [[nodiscard]] Time busy_until() const noexcept;
@@ -255,6 +270,14 @@ class SimplexChannel final : public FrameChannel {
 
  private:
   void start_next();
+  /// True from `start_next` until the current frame's serialization ends:
+  /// the completion event fired, or its reserved key passed unmaterialized.
+  [[nodiscard]] bool serializing() const noexcept {
+    return transmitting_ && (done_armed_ || !sim_.passed(done_key_));
+  }
+  /// Insert the serializer-completion event at its reserved key (once).
+  void arm_done();
+  void on_done(std::uint64_t epoch);
   void emit_fate(obs::EventKind kind, obs::DropCause cause,
                  const frame::Frame& f);
   [[nodiscard]] std::size_t coded_bits(const frame::Frame& f) const noexcept;
@@ -281,7 +304,7 @@ class SimplexChannel final : public FrameChannel {
   /// original deliver first, as in the per-frame path).  On a fault-free
   /// channel arrivals are monotone and every push is an O(1) push_back; a
   /// jitter stage or shrinking orbital propagation triggers the rare sorted
-  /// insert and a cancel + re-arm of the sweep event.
+  /// insert and an earlier reschedule of the sweep event.
   /// @{
   struct Transit {
     Time arrival;
@@ -309,12 +332,24 @@ class SimplexChannel final : public FrameChannel {
   obs::EventBus* bus_{nullptr};
   obs::Source src_{obs::Source::kOther};
   std::function<void()> idle_cb_;
+  std::function<bool()> has_work_;
   std::deque<frame::Frame> queue_;
   std::vector<frame::Frame> inflight_;          ///< Slot pool (see above).
   std::vector<std::uint32_t> inflight_free_;    ///< Recycled slot indices.
   std::vector<std::uint8_t> wire_buf_;          ///< Reused encode buffer.
+  /// \name Serializer
+  /// A frame's completion takes its dispatch key in `start_next`, exactly
+  /// where an unconditional completion event would be scheduled, but the
+  /// event is inserted (`arm_done`) only when it has work: a frame queued
+  /// behind, or a sender with something to send.  On an idle link the
+  /// completion would only call a `try_send()` that finds nothing, so its
+  /// key simply passes; `serializing()` reads that off the kernel.
+  /// @{
   bool transmitting_{false};
+  bool done_armed_{false};
+  Simulator::Key done_key_{};
   Time tx_done_{};
+  /// @}
   bool up_{true};
   std::uint64_t down_epoch_{0};  ///< Invalidates in-flight events on failure.
   std::uint64_t frames_sent_{0};

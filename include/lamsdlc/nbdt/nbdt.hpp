@@ -87,6 +87,8 @@ class NbdtSender final : public sim::DlcSender, public link::FrameSink {
     std::uint32_t attempts = 0;
   };
 
+  /// True when try_send() would transmit (or prune its retransmit queue).
+  [[nodiscard]] bool has_work() const;
   void try_send();
   void handle_status(const frame::SelectiveAckFrame& st);
   void release(std::uint64_t number);

@@ -55,18 +55,15 @@ namespace lamsdlc::net {
   return merged;
 }
 
-/// Conservative lower bound on \p pair's propagation delay across the plan's
-/// horizon, for the parallel driver's lookahead (`LinkSpec::min_propagation`).
-/// The range function is sampled once per second — far finer than orbital
-/// range dynamics — and shrunk by a 25 % safety margin; a violation cannot
-/// corrupt a run silently, because the parallel delivery path asserts every
+/// Conservative lower bound on \p pair's propagation delay over
+/// [0, \p horizon] (a contact plan's latest window end), for the parallel
+/// driver's lookahead (`LinkSpec::min_propagation`).  The range function is
+/// sampled once per second — far finer than orbital range dynamics — and
+/// shrunk by a 25 % safety margin; a violation cannot corrupt a run
+/// silently, because the parallel delivery path asserts every
 /// cross-partition arrival clears the window bound (link::ChannelIngress).
-[[nodiscard]] inline Time min_propagation_bound(
-    const orbit::SatellitePair& pair, const std::vector<orbit::Contact>& plan) {
-  Time horizon{};
-  for (const orbit::Contact& ct : plan) {
-    horizon = std::max(horizon, ct.window.end);
-  }
+[[nodiscard]] inline Time min_propagation_bound(const orbit::SatellitePair& pair,
+                                                Time horizon) {
   Time best = pair.propagation_delay(Time{});
   for (Time t{}; t <= horizon; t += Time::seconds_int(1)) {
     best = std::min(best, pair.propagation_delay(t));
@@ -122,6 +119,11 @@ build_contact_network(Network& net, const orbit::Constellation& c,
     windows[{lo, hi}].push_back(ct.window);
   }
 
+  // The plan's horizon, for every link's min-propagation bound.
+  Time horizon{};
+  for (const orbit::Contact& ct : plan) {
+    horizon = std::max(horizon, ct.window.end);
+  }
   std::map<std::pair<std::size_t, std::size_t>, LinkId> out;
   for (auto& [pair_ids, w] : windows) {
     auto geometry = std::make_shared<orbit::SatellitePair>(
@@ -133,7 +135,7 @@ build_contact_network(Network& net, const orbit::Constellation& c,
       return geometry->propagation_delay(t);
     };
     if (spec.min_propagation.is_zero()) {
-      spec.min_propagation = min_propagation_bound(*geometry, plan);
+      spec.min_propagation = min_propagation_bound(*geometry, horizon);
     }
     const LinkId id = net.add_link(spec);
     schedule_link_windows(net, id, w);

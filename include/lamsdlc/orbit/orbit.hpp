@@ -70,11 +70,28 @@ struct CircularOrbit {
   [[nodiscard]] Vec3 position(Time t) const noexcept;
 };
 
-/// Geometry between two satellites.
+/// The time-invariant part of `CircularOrbit::position`, evaluated once:
+/// mean motion, radius, and the inclination/RAAN sines and cosines.
+/// `position` then performs the same floating-point operations on the same
+/// values as `CircularOrbit::position` (which is defined through it), so
+/// the two agree bit for bit.
+struct OrbitTrack {
+  double phase_rad;
+  double mean_motion_rad_s;
+  double radius_m;
+  double ci, si;  ///< cos/sin of the inclination.
+  double co, so;  ///< cos/sin of the RAAN.
+
+  explicit OrbitTrack(const CircularOrbit& o) noexcept;
+  [[nodiscard]] Vec3 position(Time t) const noexcept;
+};
+
+/// Geometry between two satellites.  Ranges are evaluated per frame in
+/// orbit-driven links, so each orbit's constants are cached (`OrbitTrack`).
 class SatellitePair {
  public:
   SatellitePair(CircularOrbit a, CircularOrbit b, double max_range_m = 1.0e7)
-      : a_{a}, b_{b}, max_range_m_{max_range_m} {}
+      : a_{a}, b_{b}, ta_{a}, tb_{b}, max_range_m_{max_range_m} {}
 
   /// Instantaneous range in metres.
   [[nodiscard]] double range_m(Time t) const noexcept;
@@ -93,6 +110,7 @@ class SatellitePair {
 
  private:
   CircularOrbit a_, b_;
+  OrbitTrack ta_, tb_;
   double max_range_m_;
 };
 

@@ -51,8 +51,11 @@ class NetChannel final : public link::FrameChannel {
   /// \name link::FrameChannel
   /// @{
   void send(frame::Frame f) override;
-  void set_idle_callback(std::function<void()> cb) override {
-    idle_cb_ = std::move(cb);
+  /// The serializer timer always fires, so the has-work predicate is not
+  /// needed.
+  void set_idle_callback(std::function<void()> on_idle,
+                         std::function<bool()> /*has_work*/) override {
+    idle_cb_ = std::move(on_idle);
   }
   [[nodiscard]] bool busy() const override { return busy_; }
   [[nodiscard]] bool up() const override { return true; }

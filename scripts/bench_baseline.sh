@@ -5,7 +5,9 @@
 #                        next to the frozen pre-overhaul baseline, which was
 #                        measured by compiling bench/kernel_workloads.hpp
 #                        against the old std::priority_queue kernel with the
-#                        same -O3 flags on the same host.
+#                        same -O3 flags on the same host, and optionally a
+#                        "before" row from a second build measured in the
+#                        same run.
 #   BENCH_framepath.json — end-to-end frame-path rates (bench_framepath
 #                        --json): CRC throughput, codec round-trips, and
 #                        frames/sec through the full channel/network stack,
@@ -34,12 +36,16 @@
 #
 # Run after any kernel or frame-path change, on an otherwise idle machine.
 #
-# Usage: scripts/bench_baseline.sh [build-dir]     (default build/)
+# Usage: scripts/bench_baseline.sh [build-dir] [before-build-dir]
+#        (default build/; the optional second build — the same bench/
+#        sources against an older kernel — adds a same-run "before" row to
+#        BENCH_kernel.json)
 
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
+BEFORE_DIR="${2:-}"
 BENCH="$BUILD_DIR/bench/bench_kernel"
 FRAMEPATH="$BUILD_DIR/bench/bench_framepath"
 CLI="$BUILD_DIR/tools/lamsdlc_cli"
@@ -52,15 +58,30 @@ SOAK_SEEDS=250
 }
 
 echo "== kernel workloads ($OPS ops, best of 3) =="
-CURRENT_JSON="$("$BENCH" --json "$OPS")"
-echo "$CURRENT_JSON"
+# With a second build dir (the same bench/ sources built against an older
+# kernel), the two binaries alternate twice and each row keeps its best
+# rate, so host drift hits the before and after rows alike.
+KERNEL_RUNS=()
+for round in 1 2; do
+  if [ -n "$BEFORE_DIR" ]; then
+    KERNEL_RUNS+=("before" "$("$BEFORE_DIR/bench/bench_kernel" --json "$OPS")")
+  fi
+  KERNEL_RUNS+=("after" "$("$BENCH" --json "$OPS")")
+done
+printf '%s\n' "${KERNEL_RUNS[@]}"
 
 # The baseline block is frozen: these numbers reproduce only against the
 # pre-overhaul kernel sources and are kept for honest before/after context.
-python3 - "$CURRENT_JSON" > BENCH_kernel.json <<'EOF'
-import json, sys
+python3 - "$(nproc)" "${KERNEL_RUNS[@]}" > BENCH_kernel.json <<'EOF'
+import json, platform, sys
 
-current = json.loads(sys.argv[1])
+cores, runs = sys.argv[1], sys.argv[2:]
+rows = {}
+for tag, text in zip(runs[::2], runs[1::2]):
+    got = json.loads(text)
+    row = rows.setdefault(tag, {})
+    for k, v in got.items():
+        row[k] = max(row.get(k, 0), v) if k.endswith("_ops_per_sec") else v
 baseline = {
     "kernel": "std::priority_queue + per-event heap std::function + "
               "unordered_map registry (pre-overhaul)",
@@ -68,21 +89,35 @@ baseline = {
     "cancel_heavy_ops_per_sec": 1151920,
     "timer_rearm_ops_per_sec": 1002718,
 }
-keys = ["schedule_fire_ops_per_sec", "cancel_heavy_ops_per_sec",
-        "timer_rearm_ops_per_sec"]
+after = rows["after"]
 out = {
-    "workload_ops": current["ops"],
+    "workload_ops": after.pop("ops"),
     "flags": "g++ -O3 -DNDEBUG (CMake Release)",
-    "workloads": "bench/kernel_workloads.hpp (identical code for both kernels)",
+    "host": {"cores": int(cores),
+             "cpu": platform.processor() or platform.machine()},
+    "workloads": "bench/kernel_workloads.hpp (identical code for every kernel)",
     "baseline": baseline,
-    "current": {
-        "kernel": "inline binary heap (24-byte entries) + slot-table "
-                  "callbacks (core::InlineFunction, 48-byte SBO) + "
-                  "generation-tagged ids with tombstone compaction",
-        **{k: current[k] for k in keys},
-    },
-    "speedup": {k: round(current[k] / baseline[k], 2) for k in keys},
 }
+before = rows.get("before")
+if before:
+    before.pop("ops", None)
+    out["before"] = {
+        "kernel": "inline binary heap (std::push_heap/pop_heap) + cancel "
+                  "and re-schedule for every timer re-arm",
+        **before,
+    }
+out["after"] = {
+    "kernel": "inline 4-ary heap (24-byte entries, hole-based sifts) + "
+              "slot-table callbacks (core::InlineFunction, 48-byte SBO) + "
+              "generation-tagged ids + in-place reschedule + reserved keys + "
+                  "fixed-delay FIFO lanes",
+    **after,
+}
+keys = [k for k in baseline if k.endswith("_ops_per_sec")]
+out["speedup_vs_baseline"] = {k: round(after[k] / baseline[k], 2) for k in keys}
+if before:
+    out["speedup_vs_before"] = {
+        k: round(after[k] / before[k], 2) for k in after if k in before}
 json.dump(out, sys.stdout, indent=2)
 print()
 EOF

@@ -22,7 +22,8 @@
 #      identical (gating).
 #   8. perf smoke (non-gating): kernel + frame-path + constellation network
 #      + live-telemetry workload rates, printed for trend watching; compare
-#      against BENCH_*.json by hand or with scripts/bench_baseline.sh.
+#      against BENCH_*.json by hand or with scripts/bench_baseline.sh.  Then
+#      the repository benchmark's own smoke tests (perfbench/).
 #
 #   The live interop smoke (between 6 and 7) additionally gates on the
 #   daemon's introspection endpoint: a mid-transfer `status` query must
@@ -203,5 +204,9 @@ echo "== perf smoke (non-gating) =="
 # path plus endpoint scrape throughput; compare against BENCH_obs.json.
 "$BUILD_DIR/bench/bench_obs" --json ||
   echo "[warn] obs perf smoke failed (non-gating)"
+# The repository benchmark's own tests (perfbench/README.md): every
+# workload reports every declared metric, at smoke scale (about a minute).
+python3 perfbench/test_perfbench.py ||
+  echo "[warn] perfbench tests failed (non-gating)"
 
 echo "ci green"

@@ -15,7 +15,7 @@ GbnSender::GbnSender(Simulator& sim, link::SimplexChannel& data_out,
       stats_{stats},
       tracer_{std::move(tracer)},
       seqspace_{cfg.modulus} {
-  out_.set_idle_callback([this] { try_send(); });
+  out_.set_idle_callback([this] { try_send(); }, [this] { return has_work(); });
 }
 
 GbnSender::~GbnSender() { sim_.cancel(timeout_timer_); }
@@ -40,8 +40,17 @@ std::size_t GbnSender::sending_buffer_depth() const {
 
 bool GbnSender::idle() const { return queue_.empty() && window_.empty(); }
 
+bool GbnSender::has_work() const {
+  return resend_cursor_ < next_ctr_ ||
+         (!queue_.empty() && next_ctr_ < base_ctr_ + cfg_.window);
+}
+
 void GbnSender::try_send() {
-  if (out_.busy() || !out_.up()) return;
+  if (out_.busy()) {
+    out_.note_work();  // the frame being serialized owes us the idle callback
+    return;
+  }
+  if (!out_.up()) return;
 
   // Retransmission pass: the cursor rewinds to base on REJ/timeout and
   // walks forward over already-windowed frames before admitting new ones.
@@ -95,9 +104,12 @@ void GbnSender::release_below(std::uint64_t ctr) {
   base_ctr_ = window_.empty() ? next_ctr_ : window_.begin()->first;
   if (advanced) {
     // Progress: restart the timer for the new base (or clear it).
-    sim_.cancel(timeout_timer_);
-    timeout_timer_ = 0;
-    if (!window_.empty() || resend_cursor_ < next_ctr_) arm_timeout();
+    if (!window_.empty() || resend_cursor_ < next_ctr_) {
+      arm_timeout();
+    } else {
+      sim_.cancel(timeout_timer_);
+      timeout_timer_ = 0;
+    }
     if (stats_) {
       stats_->send_buffer.update(sim_.now(),
                                  static_cast<double>(sending_buffer_depth()));
@@ -138,8 +150,8 @@ void GbnSender::on_frame(frame::Frame f) {
 }
 
 void GbnSender::arm_timeout() {
-  sim_.cancel(timeout_timer_);
-  timeout_timer_ = sim_.schedule_in(cfg_.timeout, [this] { on_timeout(); });
+  timeout_timer_ = sim_.rearm(timeout_timer_, sim_.now() + cfg_.timeout,
+                              [this] { on_timeout(); });
 }
 
 void GbnSender::on_timeout() {

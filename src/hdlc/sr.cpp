@@ -17,7 +17,7 @@ SrSender::SrSender(Simulator& sim, link::SimplexChannel& data_out,
       stats_{stats},
       tracer_{std::move(tracer)},
       seqspace_{cfg.modulus} {
-  out_.set_idle_callback([this] { try_send(); });
+  out_.set_idle_callback([this] { try_send(); }, [this] { return has_work(); });
 }
 
 SrSender::~SrSender() { sim_.cancel(timeout_timer_); }
@@ -61,10 +61,25 @@ void SrSender::note_buffer_change() {
     stats_->send_buffer.update(sim_.now(),
                                static_cast<double>(sending_buffer_depth()));
   }
+  // Submissions (whose transmission kick is deferred) and window releases.
+  out_.note_work();
+}
+
+bool SrSender::has_work() const {
+  // The three branches of try_send below; stale retransmission entries count
+  // as work because try_send is what prunes them.
+  return !retx_queue_.empty() ||
+         (cfg_.stutter && awaiting_response_ && !window_.empty()) ||
+         (!awaiting_response_ && !queue_.empty() &&
+          next_ctr_ < base_ctr_ + cfg_.window);
 }
 
 void SrSender::try_send() {
-  if (out_.busy() || !out_.up()) return;
+  if (out_.busy()) {
+    out_.note_work();  // the frame being serialized owes us the idle callback
+    return;
+  }
+  if (!out_.up()) return;
 
   // Retransmission period: resend rejected/timed-out frames, P on the last.
   while (!retx_queue_.empty() && !window_.contains(retx_queue_.front())) {
@@ -78,10 +93,7 @@ void SrSender::try_send() {
     }
     const bool poll = retx_queue_.empty();
     send_iframe(ctr, poll);
-    if (poll) {
-      awaiting_response_ = true;
-      arm_timeout();
-    }
+    if (poll) await_response();
     return;
   }
 
@@ -111,10 +123,7 @@ void SrSender::try_send() {
   queue_.pop_front();
   const bool poll = queue_.empty() || next_ctr_ == base_ctr_ + cfg_.window;
   send_iframe(ctr, poll);
-  if (poll) {
-    awaiting_response_ = true;
-    arm_timeout();
-  }
+  if (poll) await_response();
 }
 
 void SrSender::send_iframe(std::uint64_t ctr, bool poll) {
@@ -237,9 +246,16 @@ void SrSender::handle_srej(const frame::HdlcSFrame& s) {
   try_send();
 }
 
+void SrSender::await_response() {
+  awaiting_response_ = true;
+  arm_timeout();
+  // In stutter mode, awaiting the response is itself work (the resend walk).
+  out_.note_work();
+}
+
 void SrSender::arm_timeout() {
-  sim_.cancel(timeout_timer_);
-  timeout_timer_ = sim_.schedule_in(cfg_.timeout, [this] { on_timeout(); });
+  timeout_timer_ = sim_.rearm(timeout_timer_, sim_.now() + cfg_.timeout,
+                              [this] { on_timeout(); });
 }
 
 void SrSender::on_timeout() {

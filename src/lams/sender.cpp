@@ -29,7 +29,7 @@ LamsSender::LamsSender(Simulator& sim, link::FrameChannel& data_out,
       stats_{stats},
       obs_{bus, std::move(tracer)},
       seqspace_{cfg.modulus} {
-  out_.set_idle_callback([this] { try_send(); });
+  out_.set_idle_callback([this] { try_send(); }, [this] { return has_work(); });
   if (!cfg_.self_audit_period.is_zero()) {
     audit_timer_ =
         sim_.schedule_in(cfg_.self_audit_period, [this] { on_audit_tick(); });
@@ -119,16 +119,16 @@ void LamsSender::note_buffer_change() {
     obs_.emit(e);
   }
   if (on_buffer_change_) on_buffer_change_();
+  // Every gain of work (submissions, NAK and release processing, requeues,
+  // mode changes back to normal) passes through here.
+  out_.note_work();
 }
 
-void LamsSender::try_send() {
+bool LamsSender::has_work() const {
   // kResyncing quiesces the pipe completely: no new frames *and* no
   // retransmissions, so nothing sent under the dying epoch races the RESYNC
   // down the (FIFO) forward channel.  complete_resync() re-opens the tap.
-  if (mode_ == Mode::kFailed || mode_ == Mode::kResyncing || out_.busy() ||
-      !out_.up()) {
-    return;
-  }
+  if (mode_ == Mode::kFailed || mode_ == Mode::kResyncing) return false;
   // Numbering-window stall (Section 3.3): a new frame may only be issued
   // while fewer than modulus/2 frames are unresolved (outstanding plus the
   // NAKed ones waiting to go out again — those re-enter the outstanding set
@@ -141,7 +141,16 @@ void LamsSender::try_send() {
   const bool window_open =
       outstanding_.size() + retx_queue_.size() < cfg_.numbering_window();
   const bool can_new = mode_ == Mode::kNormal && window_open;
-  if (retx_queue_.empty() && (!can_new || new_queue_.empty())) return;
+  return !retx_queue_.empty() || (can_new && !new_queue_.empty());
+}
+
+void LamsSender::try_send() {
+  if (!has_work()) return;
+  if (out_.busy()) {
+    out_.note_work();  // the frame being serialized owes us the idle callback
+    return;
+  }
+  if (!out_.up()) return;
 
   const Time now = sim_.now();
   if (now < next_send_allowed_) {
@@ -434,11 +443,11 @@ void LamsSender::sweep_outstanding(const frame::CheckpointFrame& cp) {
 }
 
 void LamsSender::arm_checkpoint_timer() {
-  sim_.cancel(checkpoint_timer_);
-  checkpoint_timer_ =
-      sim_.schedule_in(cfg_.checkpoint_timeout(), [this] { on_checkpoint_silence(); });
+  const Time deadline = sim_.now() + cfg_.checkpoint_timeout();
+  checkpoint_timer_ = sim_.rearm(checkpoint_timer_, deadline,
+                                 [this] { on_checkpoint_silence(); });
   emit_timer(obs::EventKind::kTimerArmed, obs::TimerId::kCheckpointTimer,
-             sim_.now() + cfg_.checkpoint_timeout());
+             deadline);
 }
 
 void LamsSender::on_checkpoint_silence() {
@@ -460,11 +469,11 @@ void LamsSender::enter_enforced_recovery(obs::RecoveryReason reason) {
   mode_ = Mode::kEnforcedRecovery;
   emit_mode_change(from, mode_, reason);
   send_request_nak();
-  sim_.cancel(failure_timer_);
+  const Time deadline = sim_.now() + cfg_.failure_timeout();
   failure_timer_ =
-      sim_.schedule_in(cfg_.failure_timeout(), [this] { on_failure_timeout(); });
+      sim_.rearm(failure_timer_, deadline, [this] { on_failure_timeout(); });
   emit_timer(obs::EventKind::kTimerArmed, obs::TimerId::kFailureTimer,
-             sim_.now() + cfg_.failure_timeout());
+             deadline);
 }
 
 void LamsSender::send_request_nak() {

@@ -87,9 +87,8 @@ void SessionSender::send_handshake(frame::SessionFrame::Kind kind) {
   frame::Frame f;
   f.body = frame::SessionFrame{kind, epoch_};
   out_.send(std::move(f));
-  sim_.cancel(handshake_timer_);
-  handshake_timer_ =
-      sim_.schedule_in(cfg_.init_retry, [this] { on_handshake_timer(); });
+  handshake_timer_ = sim_.rearm(handshake_timer_, sim_.now() + cfg_.init_retry,
+                                [this] { on_handshake_timer(); });
 }
 
 void SessionSender::on_handshake_timer() {

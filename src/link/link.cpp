@@ -105,11 +105,41 @@ Time SimplexChannel::tx_time(const frame::Frame& f) const noexcept {
 }
 
 Time SimplexChannel::busy_until() const noexcept {
-  return transmitting_ ? tx_done_ : sim_.now();
+  return serializing() ? tx_done_ : sim_.now();
 }
 
 bool SimplexChannel::busy() const noexcept {
-  return transmitting_ || !queue_.empty();
+  return serializing() || !queue_.empty();
+}
+
+void SimplexChannel::set_idle_callback(std::function<void()> on_idle,
+                                       std::function<bool()> has_work) {
+  if (static_cast<bool>(on_idle) != static_cast<bool>(has_work)) {
+    throw std::invalid_argument(
+        "SimplexChannel::set_idle_callback: the idle callback and its "
+        "has-work predicate come together");
+  }
+  idle_cb_ = std::move(on_idle);
+  has_work_ = std::move(has_work);
+  note_work();  // a new sender may arrive with work in hand
+}
+
+void SimplexChannel::note_work() {
+  if (serializing() && !done_armed_ && has_work_ && has_work_()) arm_done();
+}
+
+void SimplexChannel::arm_done() {
+  if (done_armed_) return;
+  done_armed_ = true;
+  sim_.schedule_reserved(done_key_,
+                         [this, epoch = down_epoch_] { on_done(epoch); });
+}
+
+void SimplexChannel::on_done(std::uint64_t epoch) {
+  if (epoch != down_epoch_) return;  // link went down meanwhile
+  transmitting_ = false;
+  done_armed_ = false;
+  start_next();
 }
 
 void SimplexChannel::send(frame::Frame f) {
@@ -119,7 +149,11 @@ void SimplexChannel::send(frame::Frame f) {
     return;
   }
   queue_.push_back(std::move(f));
-  if (!transmitting_) start_next();
+  if (!serializing()) {
+    start_next();
+  } else {
+    arm_done();  // the completion must start the frame queued behind
+  }
 }
 
 void SimplexChannel::set_up(bool up) {
@@ -136,11 +170,12 @@ void SimplexChannel::set_up(bool up) {
       emit_fate(obs::EventKind::kFrameDropped, obs::DropCause::kLinkDown, q);
     }
     queue_.clear();
-    // A frame mid-serialization is lost too; its completion event still
-    // fires but finds the link down and discards the frame (handled in
-    // start_next's completion lambda via the epoch check).
+    // A frame mid-serialization is lost too.  Its completion, if it was
+    // inserted, still fires but finds the epoch moved on (on_done); the
+    // serializer is free from now.
     ++down_epoch_;
     transmitting_ = false;
+    done_armed_ = false;
   }
 }
 
@@ -192,12 +227,20 @@ void SimplexChannel::start_next() {
   const Time prop = cfg_.propagation(start);
   const std::uint64_t epoch = down_epoch_;
 
-  // Serialization completes: free the transmitter, start the next frame.
-  sim_.schedule_at(end, [this, epoch] {
-    if (epoch != down_epoch_) return;  // link went down meanwhile
-    transmitting_ = false;
-    start_next();
-  });
+  // Serialization completes at `end`: take the completion's key now, and
+  // insert the event only if the completion will have something to do.  A
+  // sender gaining work later says so through note_work().  A frame that
+  // serializes in zero time (an absurd data rate) completes at the current
+  // instant, where a reserved key cannot be told apart from ones already
+  // passed, so its completion is inserted at once.
+  if (end == start) {
+    done_armed_ = true;
+    sim_.schedule_at(end, [this, epoch] { on_done(epoch); });
+  } else {
+    done_key_ = sim_.reserve(end);
+    done_armed_ = false;
+    if (!queue_.empty() || (has_work_ && has_work_())) arm_done();
+  }
 
   if (fate.drop) {
     // Silent omission: the frame occupied the serializer but nothing ever
@@ -273,13 +316,15 @@ void SimplexChannel::push_transit(Time arrival, std::uint64_t epoch,
 void SimplexChannel::arm_sweep() {
   if (transit_.empty()) return;
   const Time head = transit_.front().arrival;
-  if (sweep_armed_) {
-    if (!(head < sweep_at_)) return;
-    sim_.cancel(sweep_event_);
+  if (!sweep_armed_) {
+    sweep_event_ = sim_.schedule_at(head, [this] { sweep_transit(); });
+  } else if (head < sweep_at_) {
+    sweep_event_ = sim_.reschedule(sweep_event_, head);
+  } else {
+    return;
   }
   sweep_at_ = head;
   sweep_armed_ = true;
-  sweep_event_ = sim_.schedule_at(head, [this] { sweep_transit(); });
 }
 
 void SimplexChannel::sweep_transit() {
@@ -366,13 +411,15 @@ void ChannelIngress::push(Time arrival, std::uint64_t epoch, frame::Frame f) {
 void ChannelIngress::arm_sweep() {
   if (transit_.empty()) return;
   const Time head = transit_.front().arrival;
-  if (sweep_armed_) {
-    if (!(head < sweep_at_)) return;
-    sim_.cancel(sweep_event_);
+  if (!sweep_armed_) {
+    sweep_event_ = sim_.schedule_at(head, sweep_priority_, [this] { sweep(); });
+  } else if (head < sweep_at_) {
+    sweep_event_ = sim_.reschedule(sweep_event_, head);
+  } else {
+    return;
   }
   sweep_at_ = head;
   sweep_armed_ = true;
-  sweep_event_ = sim_.schedule_at(head, sweep_priority_, [this] { sweep(); });
 }
 
 void ChannelIngress::sweep() {

@@ -14,7 +14,7 @@ NbdtSender::NbdtSender(Simulator& sim, link::SimplexChannel& data_out,
       cfg_{cfg},
       stats_{stats},
       tracer_{std::move(tracer)} {
-  out_.set_idle_callback([this] { try_send(); });
+  out_.set_idle_callback([this] { try_send(); }, [this] { return has_work(); });
 }
 
 NbdtSender::~NbdtSender() { sim_.cancel(tail_timer_); }
@@ -41,8 +41,18 @@ bool NbdtSender::idle() const {
   return queue_.empty() && window_.empty() && retx_queue_.empty();
 }
 
+bool NbdtSender::has_work() const {
+  // Stale retransmission entries count as work: try_send prunes them.
+  return !retx_queue_.empty() ||
+         (!queue_.empty() && !(cfg_.multiphase && unconfirmed_retx_ > 0));
+}
+
 void NbdtSender::try_send() {
-  if (out_.busy() || !out_.up()) return;
+  if (out_.busy()) {
+    out_.note_work();  // the frame being serialized owes us the idle callback
+    return;
+  }
+  if (!out_.up()) return;
 
   // Continuous mode: retransmissions mix with new traffic; holes first
   // (they block the receiver's in-sequence delivery).

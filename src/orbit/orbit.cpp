@@ -4,28 +4,39 @@
 
 namespace lamsdlc::orbit {
 
-Vec3 CircularOrbit::position(Time t) const noexcept {
-  const double u = phase_rad + mean_motion_rad_s() * t.sec();  // argument of latitude
-  const double r = radius_m();
+OrbitTrack::OrbitTrack(const CircularOrbit& o) noexcept
+    : phase_rad{o.phase_rad},
+      mean_motion_rad_s{o.mean_motion_rad_s()},
+      radius_m{o.radius_m()},
+      ci{std::cos(o.inclination_rad)},
+      si{std::sin(o.inclination_rad)},
+      co{std::cos(o.raan_rad)},
+      so{std::sin(o.raan_rad)} {}
+
+Vec3 OrbitTrack::position(Time t) const noexcept {
+  const double u = phase_rad + mean_motion_rad_s * t.sec();  // argument of latitude
+  const double r = radius_m;
   // Position in the orbital plane.
   const double xp = r * std::cos(u);
   const double yp = r * std::sin(u);
   // Rotate by inclination about x, then by RAAN about z.
-  const double ci = std::cos(inclination_rad), si = std::sin(inclination_rad);
-  const double co = std::cos(raan_rad), so = std::sin(raan_rad);
   const double x1 = xp;
   const double y1 = yp * ci;
   const double z1 = yp * si;
   return Vec3{co * x1 - so * y1, so * x1 + co * y1, z1};
 }
 
+Vec3 CircularOrbit::position(Time t) const noexcept {
+  return OrbitTrack{*this}.position(t);
+}
+
 double SatellitePair::range_m(Time t) const noexcept {
-  return (a_.position(t) - b_.position(t)).norm();
+  return (ta_.position(t) - tb_.position(t)).norm();
 }
 
 bool SatellitePair::visible(Time t, double grazing_altitude_m) const noexcept {
-  const Vec3 pa = a_.position(t);
-  const Vec3 pb = b_.position(t);
+  const Vec3 pa = ta_.position(t);
+  const Vec3 pb = tb_.position(t);
   const Vec3 d = pb - pa;
   const double range = d.norm();
   if (range > max_range_m_) return false;

@@ -190,6 +190,95 @@ TEST(Simulator, TimerRearmLoopKeepsHeapBounded) {
   EXPECT_EQ(sim.events_executed(), 0u);
 }
 
+TEST(Simulator, RescheduleRearmLoopLeavesNoTombstones) {
+  // The same re-arm loop through reschedule(): a deadline that only moves
+  // later is updated in place, so the heap never holds a dead entry.
+  Simulator sim;
+  sim.schedule_at(Time::seconds_int(7200), [] {});  // an unrelated bystander
+  int fired = 0;
+  EventId timer = sim.schedule_at(Time::seconds_int(3600), [&] { ++fired; });
+  for (int i = 0; i < 100'000; ++i) {
+    const EventId moved =
+        sim.reschedule(timer, Time::seconds_int(3600) + Time::microseconds(i));
+    ASSERT_EQ(moved, timer);  // same event, same id
+    ASSERT_EQ(sim.heap_entries(), sim.events_pending());
+  }
+  EXPECT_EQ(sim.events_pending(), 2u);
+  sim.run_until(Time::seconds_int(3600));
+  EXPECT_EQ(fired, 0);  // moved past the old deadline
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.events_executed(), 2u);
+}
+
+TEST(Simulator, EarlierRescheduleStaysBounded) {
+  // Moving a deadline earlier leaves a tombstone behind (the entry must move
+  // up the heap); compaction keeps those bounded like cancels.
+  Simulator sim;
+  EventId timer = sim.schedule_at(Time::seconds_int(7200), [] {});
+  for (int i = 0; i < 100'000; ++i) {
+    timer = sim.reschedule(timer, Time::seconds_int(7200) - Time::microseconds(i + 1));
+    ASSERT_TRUE(sim.pending(timer));
+  }
+  EXPECT_EQ(sim.events_pending(), 1u);
+  EXPECT_LE(sim.heap_entries(), 130u);
+  sim.run();
+  EXPECT_EQ(sim.events_executed(), 1u);
+}
+
+TEST(Simulator, RescheduleKeysLikeCancelPlusSchedule) {
+  // Same-instant FIFO: a rescheduled event goes behind everything already
+  // scheduled at its new instant, and keeps its priority.
+  Simulator sim;
+  std::vector<int> order;
+  const EventId a = sim.schedule_at(1_ms, [&] { order.push_back(0); });
+  sim.schedule_at(2_ms, [&] { order.push_back(1); });
+  const EventId c =
+      sim.schedule_at(3_ms, Simulator::Priority{7}, [&] { order.push_back(2); });
+  sim.schedule_at(2_ms, Simulator::Priority{9}, [&] { order.push_back(3); });
+  EXPECT_EQ(sim.reschedule(a, 2_ms), a);  // later: in place
+  EXPECT_NE(sim.reschedule(c, 2_ms), c);  // earlier: a new id
+  EXPECT_FALSE(sim.pending(c));
+  sim.run();
+  // Priority 7 first, then 9, then the default-priority pair in FIFO order
+  // (1 was scheduled at 2 ms before 0 was moved there).
+  EXPECT_EQ(order, (std::vector<int>{2, 3, 1, 0}));
+  EXPECT_EQ(sim.reschedule(a, 5_ms), 0u);  // fired: nothing to move
+}
+
+TEST(Simulator, ReservedKeyHoldsItsPlaceInTheOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(1_ms, [&] { order.push_back(0); });
+  const Simulator::Key k = sim.reserve(1_ms);
+  sim.schedule_at(1_ms, [&] { order.push_back(2); });
+  EXPECT_FALSE(sim.passed(k));
+  sim.run_before(1_ms);  // leaves dispatch just before everything at 1 ms
+  EXPECT_FALSE(sim.passed(k));
+  sim.schedule_at(1_ms, [&] {
+    order.push_back(3);
+    EXPECT_TRUE(sim.passed(k));  // fires after the reserved key
+  });
+  sim.schedule_reserved(k, [&] { order.push_back(1); });
+  sim.run_until(1_ms);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_TRUE(sim.passed(k));
+  EXPECT_THROW(sim.schedule_reserved(k, [] {}), std::logic_error);
+}
+
+TEST(Simulator, UnmaterializedReservationCountsAsAPendingInstant) {
+  Simulator sim;
+  sim.schedule_at(1_ms, [] {});
+  const Simulator::Key k = sim.reserve(4_ms);
+  EXPECT_EQ(sim.next_event_time(), 1_ms);
+  sim.run_before(2_ms);
+  EXPECT_EQ(sim.next_event_time(), 4_ms);
+  sim.run();  // drains to where the reserved key would have fired
+  EXPECT_EQ(sim.now(), 4_ms);
+  EXPECT_TRUE(sim.passed(k));
+  EXPECT_EQ(sim.next_event_time(), Time::max());
+}
+
 TEST(Simulator, CallbackCapturesAreReleasedOnCancel) {
   // cancel() destroys the callback eagerly, so captured resources (buffers,
   // shared_ptrs) do not linger until the tombstone surfaces.

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "lamsdlc/frame/codec.hpp"
+#include "lamsdlc/lams/sender.hpp"
 
 namespace lamsdlc::link {
 namespace {
@@ -99,7 +100,7 @@ TEST(SimplexChannel, IdleCallbackFiresWhenQueueDrains) {
   RecordingSink sink{sim};
   ch.set_sink(&sink);
   int idle_calls = 0;
-  ch.set_idle_callback([&] { ++idle_calls; });
+  ch.set_idle_callback([&] { ++idle_calls; }, [] { return true; });
   ch.send(iframe(0, 100));
   ch.send(iframe(1, 100));
   sim.run();
@@ -263,6 +264,180 @@ TEST(FullDuplexLink, SetUpTogglesBothDirections) {
   link.set_up(true);
   EXPECT_TRUE(link.forward().up());
   EXPECT_TRUE(link.reverse().up());
+}
+
+// ---------------------------------------------------------------------------
+// Serializer completion on demand.  A frame's completion takes its dispatch
+// key when the frame starts; the event is inserted only when the completion
+// has work.  Whether it was inserted must never show: everything around the
+// completion instant has to happen exactly as if it always fired.
+
+TEST(SimplexChannel, SendAtCompletionInstantFollowsDispatchOrder) {
+  const auto frame_at_tx = [](bool keyed_before_completion,
+                              Simulator::Priority prio) {
+    Simulator sim;
+    SimplexChannel ch{sim, cfg_100mbps_5ms(),
+                      std::make_unique<phy::PerfectChannel>()};
+    RecordingSink sink{sim};
+    ch.set_sink(&sink);
+    ch.set_idle_callback([] {}, [] { return false; });  // an idle sender
+    const Time tx = ch.tx_time(iframe(0, 100));
+    bool busy = false;
+    const auto probe = [&] {
+      busy = ch.busy();
+      ch.send(iframe(1, 100));
+    };
+    if (keyed_before_completion) sim.schedule_at(tx, prio, probe);
+    ch.send(iframe(0, 100));  // reserves the completion key at tx
+    if (!keyed_before_completion) sim.schedule_at(tx, prio, probe);
+    sim.run();
+    EXPECT_EQ(sim.now(), tx * 2 + 5_ms);
+    EXPECT_EQ(sink.arrivals.size(), 2u);
+    if (sink.arrivals.size() == 2) {
+      EXPECT_EQ(sink.arrivals[1].at, tx * 2 + 5_ms);  // starts right at tx
+    }
+    return busy;
+  };
+  // Keyed before the completion: the serializer is still busy, so frame 1
+  // queues behind frame 0 and the completion starts it.
+  EXPECT_TRUE(frame_at_tx(true, Simulator::kDefaultPriority));
+  // A lower priority value sorts first at the instant even when scheduled
+  // after the frame started.
+  EXPECT_TRUE(frame_at_tx(false, Simulator::Priority{1}));
+  // Keyed after the completion: the serializer is already free.
+  EXPECT_FALSE(frame_at_tx(false, Simulator::kDefaultPriority));
+}
+
+TEST(SimplexChannel, RunBoundaryAtCompletionInstant) {
+  // run_before(t) leaves dispatch before everything at t, run_until(t) after
+  // it; a top-level send at the completion instant must see the difference.
+  for (const bool until : {false, true}) {
+    Simulator sim;
+    SimplexChannel ch{sim, cfg_100mbps_5ms(),
+                      std::make_unique<phy::PerfectChannel>()};
+    RecordingSink sink{sim};
+    ch.set_sink(&sink);
+    const Time tx = ch.tx_time(iframe(0, 100));
+    ch.send(iframe(0, 100));
+    if (until) {
+      sim.run_until(tx);
+    } else {
+      sim.run_before(tx);
+    }
+    EXPECT_EQ(ch.busy(), !until);
+    EXPECT_EQ(ch.busy_until(), tx);
+    ch.send(iframe(1, 100));
+    sim.run();
+    ASSERT_EQ(sink.arrivals.size(), 2u);
+    EXPECT_EQ(sink.arrivals[1].at, tx * 2 + 5_ms);
+  }
+}
+
+TEST(SimplexChannel, ZeroLengthSerializationStillCompletes) {
+  // At an absurd data rate a frame serializes in zero time; its completion
+  // falls on the current instant and must still free the serializer and
+  // start the next frame.
+  Simulator sim;
+  SimplexChannel::Config cfg = cfg_100mbps_5ms();
+  cfg.data_rate_bps = 1e18;
+  SimplexChannel ch{sim, cfg, std::make_unique<phy::PerfectChannel>()};
+  RecordingSink sink{sim};
+  ch.set_sink(&sink);
+  ASSERT_TRUE(ch.tx_time(iframe(0, 100)).is_zero());
+  ch.send(iframe(0, 100));
+  ch.send(iframe(1, 100));
+  sim.run_until(1_ms);
+  EXPECT_FALSE(ch.busy());
+  ch.send(iframe(2, 100));
+  sim.run();
+  ASSERT_EQ(sink.arrivals.size(), 3u);
+  EXPECT_EQ(sink.arrivals[2].at, 1_ms + 5_ms);
+}
+
+lams::LamsConfig boundary_lams_config() {
+  lams::LamsConfig cfg;
+  cfg.checkpoint_interval = 5_ms;
+  cfg.cumulation_depth = 3;
+  cfg.max_rtt = 12_ms;
+  cfg.resync_enabled = true;
+  return cfg;
+}
+
+sim::Packet packet(frame::PacketId id) {
+  sim::Packet p;
+  p.id = id;
+  p.bytes = 100;
+  return p;
+}
+
+template <typename Body>
+void deliver(lams::LamsSender& tx, Body body) {
+  frame::Frame f;
+  f.body = std::move(body);
+  tx.on_frame(std::move(f));
+}
+
+TEST(SimplexChannel, RetransmissionRequeuedMidFrameGetsIdleCallback) {
+  // The sender is idle while a long foreign frame serializes, so that
+  // frame's completion is only reserved.  A NAK arriving mid-frame queues a
+  // retransmission; it must go out exactly when the frame completes.
+  Simulator sim;
+  SimplexChannel ch{sim, cfg_100mbps_5ms(), std::make_unique<phy::PerfectChannel>()};
+  RecordingSink sink{sim};
+  ch.set_sink(&sink);
+  lams::LamsSender tx{sim, ch, boundary_lams_config(), nullptr};
+  tx.submit(packet(7));  // ctr 0 at t = 0
+  const Time t1 = 1_ms;
+  const Time big = ch.tx_time(iframe(99, 10'000));
+  sim.schedule_at(t1, [&] { ch.send(iframe(99, 10'000)); });
+  sim.schedule_at(t1 + big / std::int64_t{2}, [&] {
+    frame::CheckpointFrame cp;
+    cp.cp_seq = 1;
+    cp.generated_at = sim.now();
+    cp.naks = {0};
+    deliver(tx, cp);
+    EXPECT_TRUE(ch.busy());
+  });
+  sim.run_until(10_ms);
+  ASSERT_EQ(sink.arrivals.size(), 3u);
+  const auto& retx = sink.arrivals[2];
+  ASSERT_TRUE(std::holds_alternative<frame::IFrame>(retx.f.body));
+  EXPECT_EQ(std::get<frame::IFrame>(retx.f.body).packet_id, 7u);
+  EXPECT_EQ(retx.at, t1 + big + ch.tx_time(retx.f) + 5_ms);
+}
+
+TEST(SimplexChannel, ResyncRequeueMidFrameGetsIdleCallback) {
+  // A RESYNC quiesces the sender, so the RESYNC frame's own completion is
+  // only reserved.  The RESYNC-ACK landing while that frame is still on the
+  // wire requeues the unresolved packet; it must start at the completion.
+  Simulator sim;
+  SimplexChannel ch{sim, cfg_100mbps_5ms(), std::make_unique<phy::PerfectChannel>()};
+  RecordingSink sink{sim};
+  ch.set_sink(&sink);
+  lams::LamsSender tx{sim, ch, boundary_lams_config(), nullptr};
+  tx.submit(packet(7));
+  const Time t1 = 1_ms;
+  Time resync_done{};
+  sim.schedule_at(t1, [&] {
+    frame::CheckpointFrame cp;
+    cp.cp_seq = 1;
+    cp.generated_at = sim.now();
+    cp.resync_req = true;
+    deliver(tx, cp);
+    ASSERT_EQ(tx.mode(), lams::LamsSender::Mode::kResyncing);
+    resync_done = ch.busy_until();
+    sim.schedule_at(sim.now() + (resync_done - sim.now()) / std::int64_t{2}, [&] {
+      deliver(tx, frame::ResyncAckFrame{1, tx.current_epoch()});
+      EXPECT_EQ(tx.mode(), lams::LamsSender::Mode::kNormal);
+    });
+  });
+  sim.run_until(10_ms);
+  ASSERT_EQ(sink.arrivals.size(), 3u);  // I-frame, RESYNC, requeued I-frame
+  ASSERT_TRUE(std::holds_alternative<frame::ResyncFrame>(sink.arrivals[1].f.body));
+  const auto& again = sink.arrivals[2];
+  ASSERT_TRUE(std::holds_alternative<frame::IFrame>(again.f.body));
+  EXPECT_EQ(std::get<frame::IFrame>(again.f.body).packet_id, 7u);
+  EXPECT_EQ(again.at, resync_done + ch.tx_time(again.f) + 5_ms);
 }
 
 }  // namespace

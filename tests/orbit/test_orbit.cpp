@@ -125,5 +125,29 @@ TEST(RangeStats, MinMaxAndTimeoutTerms) {
               1e-12);
 }
 
+TEST(SatellitePair, CachedGeometryIsBitIdenticalToDirectEvaluation) {
+  // The pair caches each orbit's mean motion, radius and angle sines and
+  // cosines; the range must come out bit for bit as if every term were
+  // evaluated afresh (the closed form below), or orbit-driven propagation
+  // delays — and with them every arrival instant — would drift.
+  const auto direct = [](const CircularOrbit& o, Time t) {
+    const double u = o.phase_rad + o.mean_motion_rad_s() * t.sec();
+    const double r = o.radius_m();
+    const double xp = r * std::cos(u);
+    const double yp = r * std::sin(u);
+    const double ci = std::cos(o.inclination_rad), si = std::sin(o.inclination_rad);
+    const double co = std::cos(o.raan_rad), so = std::sin(o.raan_rad);
+    const double y1 = yp * ci;
+    return Vec3{co * xp - so * y1, so * xp + co * y1, yp * si};
+  };
+  const CircularOrbit a = leo(0.3, 0.9, 0.0);
+  const CircularOrbit b = leo(1.1, 0.9, 0.785);
+  const SatellitePair pair{a, b};
+  for (int i = 0; i < 2000; ++i) {
+    const Time t = Time::microseconds(static_cast<std::int64_t>(i) * 3'000'017);
+    EXPECT_EQ(pair.range_m(t), (direct(a, t) - direct(b, t)).norm()) << i;
+  }
+}
+
 }  // namespace
 }  // namespace lamsdlc::orbit
