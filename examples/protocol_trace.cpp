@@ -5,13 +5,13 @@
 /// printing every protocol event: I-frame transmissions, the gap-triggered
 /// NAK, its repetition across C_depth checkpoints, the renumbered
 /// retransmission, and an enforced recovery after a checkpoint blackout.
-/// Useful both as documentation of the state machines and as a debugging
-/// template.
+/// Each line is `obs::describe()` of one typed event the LAMS endpoints
+/// publish on the scenario's event bus.  Useful both as documentation of the
+/// state machines and as a debugging template.
 ///
 ///   $ ./protocol_trace
 
 #include <cstdio>
-#include <iostream>
 
 #include "lamsdlc/sim/scenario.hpp"
 #include "lamsdlc/workload/sources.hpp"
@@ -28,9 +28,16 @@ int main() {
   cfg.lams.checkpoint_interval = 5_ms;
   cfg.lams.cumulation_depth = 3;
   cfg.lams.max_rtt = 15_ms;
-  cfg.tracer = Tracer{Tracer::print_to(std::cout)};
 
   sim::Scenario s{cfg};
+  s.events().subscribe([](const obs::Event& e) {
+    if (e.source != obs::Source::kLamsSender &&
+        e.source != obs::Source::kLamsReceiver) {
+      return;  // the link directions publish on the same bus
+    }
+    std::printf("[%12.6fs] %s: %s\n", e.at.sec(), obs::to_string(e.source),
+                obs::describe(e).c_str());
+  });
 
   std::printf("=== phase 1: five frames, the third one dies on the wire ===\n");
   // Frame 2 occupies [2*tx, 3*tx) on the 10 Mbps link (tx = 835.2 us).

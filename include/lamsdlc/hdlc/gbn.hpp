@@ -15,20 +15,21 @@
 #include <map>
 
 #include "lamsdlc/core/simulator.hpp"
-#include "lamsdlc/core/trace.hpp"
 #include "lamsdlc/frame/seqspace.hpp"
 #include "lamsdlc/hdlc/config.hpp"
 #include "lamsdlc/link/link.hpp"
+#include "lamsdlc/obs/bus.hpp"
 #include "lamsdlc/sim/dlc.hpp"
 #include "lamsdlc/sim/packet.hpp"
 
 namespace lamsdlc::hdlc {
 
-/// GBN-HDLC sending endpoint.  Sink of the reverse channel.
+/// GBN-HDLC sending endpoint.  Sink of the reverse channel.  \p bus
+/// (optional) receives the typed event stream as `Source::kDlcSender`.
 class GbnSender final : public sim::DlcSender, public link::FrameSink {
  public:
   GbnSender(Simulator& sim, link::SimplexChannel& data_out, HdlcConfig cfg,
-            sim::DlcStats* stats = nullptr, Tracer tracer = {});
+            sim::DlcStats* stats = nullptr, obs::EventBus* bus = nullptr);
   ~GbnSender() override;
 
   GbnSender(const GbnSender&) = delete;
@@ -54,16 +55,17 @@ class GbnSender final : public sim::DlcSender, public link::FrameSink {
   [[nodiscard]] bool has_work() const;
   void try_send();
   void release_below(std::uint64_t ctr);
+  /// Move the resend cursor to \p ctr; frames it passes back over are
+  /// queued for retransmission.
   void go_back_to(std::uint64_t ctr);
   void arm_timeout();
   void on_timeout();
-  void trace(std::string what) const;
 
   Simulator& sim_;
   link::SimplexChannel& out_;
   HdlcConfig cfg_;
   sim::DlcStats* stats_;
-  Tracer tracer_;
+  obs::Emitter obs_;
   frame::SeqSpace seqspace_;
 
   std::deque<sim::Packet> queue_;
@@ -75,12 +77,13 @@ class GbnSender final : public sim::DlcSender, public link::FrameSink {
   std::uint64_t timeouts_{0};
 };
 
-/// GBN-HDLC receiving endpoint.  Sink of the forward channel.
+/// GBN-HDLC receiving endpoint.  Sink of the forward channel.  \p bus
+/// (optional) receives the typed event stream as `Source::kDlcReceiver`.
 class GbnReceiver final : public link::FrameSink {
  public:
   GbnReceiver(Simulator& sim, link::SimplexChannel& control_out,
               HdlcConfig cfg, sim::PacketListener* listener,
-              sim::DlcStats* stats = nullptr, Tracer tracer = {});
+              sim::DlcStats* stats = nullptr, obs::EventBus* bus = nullptr);
 
   GbnReceiver(const GbnReceiver&) = delete;
   GbnReceiver& operator=(const GbnReceiver&) = delete;
@@ -94,14 +97,12 @@ class GbnReceiver final : public link::FrameSink {
   [[nodiscard]] std::uint64_t frames_discarded() const noexcept { return discarded_; }
 
  private:
-  void trace(std::string what) const;
-
   Simulator& sim_;
   link::SimplexChannel& out_;
   HdlcConfig cfg_;
   sim::PacketListener* listener_;
   sim::DlcStats* stats_;
-  Tracer tracer_;
+  obs::Emitter obs_;
   frame::SeqSpace seqspace_;
 
   std::uint64_t vr_{0};

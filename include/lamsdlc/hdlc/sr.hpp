@@ -28,20 +28,21 @@
 #include <map>
 
 #include "lamsdlc/core/simulator.hpp"
-#include "lamsdlc/core/trace.hpp"
 #include "lamsdlc/frame/seqspace.hpp"
 #include "lamsdlc/hdlc/config.hpp"
 #include "lamsdlc/link/link.hpp"
+#include "lamsdlc/obs/bus.hpp"
 #include "lamsdlc/sim/dlc.hpp"
 #include "lamsdlc/sim/packet.hpp"
 
 namespace lamsdlc::hdlc {
 
-/// SR-HDLC sending endpoint.  Sink of the reverse channel.
+/// SR-HDLC sending endpoint.  Sink of the reverse channel.  \p bus
+/// (optional) receives the typed event stream as `Source::kDlcSender`.
 class SrSender final : public sim::DlcSender, public link::FrameSink {
  public:
   SrSender(Simulator& sim, link::SimplexChannel& data_out, HdlcConfig cfg,
-           sim::DlcStats* stats = nullptr, Tracer tracer = {});
+           sim::DlcStats* stats = nullptr, obs::EventBus* bus = nullptr);
   ~SrSender() override;
 
   SrSender(const SrSender&) = delete;
@@ -74,6 +75,10 @@ class SrSender final : public sim::DlcSender, public link::FrameSink {
   /// Poll sent: enter the response wait and start t_out.
   void await_response();
   void send_iframe(std::uint64_t ctr, bool poll);
+  /// Queue \p ctr (in the window) for the next retransmission period.
+  void queue_retx(std::uint64_t ctr, const Pending& p);
+  /// Queue every unacknowledged frame for retransmission.
+  void queue_window();
   [[nodiscard]] std::uint64_t ack_counter(frame::Seq nr) const;
   void handle_rr(const frame::HdlcSFrame& s);
   void handle_srej(const frame::HdlcSFrame& s);
@@ -81,13 +86,12 @@ class SrSender final : public sim::DlcSender, public link::FrameSink {
   void arm_timeout();
   void on_timeout();
   void note_buffer_change();
-  void trace(std::string what) const;
 
   Simulator& sim_;
   link::SimplexChannel& out_;
   HdlcConfig cfg_;
   sim::DlcStats* stats_;
-  Tracer tracer_;
+  obs::Emitter obs_;
   frame::SeqSpace seqspace_;
 
   std::deque<sim::Packet> queue_;        ///< Admitted, not yet in the window.
@@ -105,12 +109,13 @@ class SrSender final : public sim::DlcSender, public link::FrameSink {
   std::uint64_t stutter_cursor_{0};  ///< Next counter to stutter-resend.
 };
 
-/// SR-HDLC receiving endpoint.  Sink of the forward channel.
+/// SR-HDLC receiving endpoint.  Sink of the forward channel.  \p bus
+/// (optional) receives the typed event stream as `Source::kDlcReceiver`.
 class SrReceiver final : public link::FrameSink {
  public:
   SrReceiver(Simulator& sim, link::SimplexChannel& control_out, HdlcConfig cfg,
              sim::PacketListener* listener, sim::DlcStats* stats = nullptr,
-             Tracer tracer = {});
+             obs::EventBus* bus = nullptr);
 
   SrReceiver(const SrReceiver&) = delete;
   SrReceiver& operator=(const SrReceiver&) = delete;
@@ -131,14 +136,13 @@ class SrReceiver final : public link::FrameSink {
   void handle_iframe(const frame::HdlcIFrame& in, bool corrupted);
   void deliver_ready();
   void respond();
-  void trace(std::string what) const;
 
   Simulator& sim_;
   link::SimplexChannel& out_;
   HdlcConfig cfg_;
   sim::PacketListener* listener_;
   sim::DlcStats* stats_;
-  Tracer tracer_;
+  obs::Emitter obs_;
   frame::SeqSpace seqspace_;
 
   std::uint64_t vr_{0};  ///< Next in-sequence counter expected.

@@ -32,11 +32,10 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <string>
 
 #include "lamsdlc/core/simulator.hpp"
-#include "lamsdlc/core/trace.hpp"
 #include "lamsdlc/link/link.hpp"
+#include "lamsdlc/obs/bus.hpp"
 #include "lamsdlc/sim/dlc.hpp"
 #include "lamsdlc/sim/packet.hpp"
 
@@ -62,11 +61,12 @@ struct NbdtConfig {
   bool multiphase = false;
 };
 
-/// NBDT sender: continuous transmission, absolute numbering.
+/// NBDT sender: continuous transmission, absolute numbering.  \p bus
+/// (optional) receives the typed event stream as `Source::kDlcSender`.
 class NbdtSender final : public sim::DlcSender, public link::FrameSink {
  public:
   NbdtSender(Simulator& sim, link::SimplexChannel& data_out, NbdtConfig cfg,
-             sim::DlcStats* stats = nullptr, Tracer tracer = {});
+             sim::DlcStats* stats = nullptr, obs::EventBus* bus = nullptr);
   ~NbdtSender() override;
 
   NbdtSender(const NbdtSender&) = delete;
@@ -94,13 +94,12 @@ class NbdtSender final : public sim::DlcSender, public link::FrameSink {
   void release(std::uint64_t number);
   void queue_retx(std::uint64_t number);
   void on_tail_timer();
-  void trace(std::string what) const;
 
   Simulator& sim_;
   link::SimplexChannel& out_;
   NbdtConfig cfg_;
   sim::DlcStats* stats_;
-  Tracer tracer_;
+  obs::Emitter obs_;
 
   std::deque<sim::Packet> queue_;             ///< Not yet transmitted.
   std::map<std::uint64_t, Pending> window_;   ///< Unacknowledged, by number.
@@ -110,12 +109,13 @@ class NbdtSender final : public sim::DlcSender, public link::FrameSink {
   EventId tail_timer_{0};
 };
 
-/// NBDT receiver: in-sequence delivery, periodic selective status.
+/// NBDT receiver: in-sequence delivery, periodic selective status.  \p bus
+/// (optional) receives the typed event stream as `Source::kDlcReceiver`.
 class NbdtReceiver final : public link::FrameSink {
  public:
   NbdtReceiver(Simulator& sim, link::SimplexChannel& control_out,
                NbdtConfig cfg, sim::PacketListener* listener,
-               sim::DlcStats* stats = nullptr, Tracer tracer = {});
+               sim::DlcStats* stats = nullptr, obs::EventBus* bus = nullptr);
   ~NbdtReceiver() override;
 
   NbdtReceiver(const NbdtReceiver&) = delete;
@@ -136,14 +136,13 @@ class NbdtReceiver final : public link::FrameSink {
  private:
   void status_tick();
   void deliver_ready();
-  void trace(std::string what) const;
 
   Simulator& sim_;
   link::SimplexChannel& out_;
   NbdtConfig cfg_;
   sim::PacketListener* listener_;
   sim::DlcStats* stats_;
-  Tracer tracer_;
+  obs::Emitter obs_;
 
   bool running_{false};
   EventId status_timer_{0};

@@ -7,9 +7,8 @@
 /// branch (`enabled()` is false and no event is even constructed — sites
 /// guard with `Emitter::active()`).  Subscribers are the observability
 /// consumers: the metrics collector (`collector.hpp`), a capture writer
-/// (`capture.hpp`), a recording vector in a test, or the legacy string
-/// `Tracer` via `attach_tracer` — which is all the old free-form tracing now
-/// is: one pretty-printing subscriber among others.
+/// (`capture.hpp`), a recording vector in a test, or a pretty-printer of
+/// `describe()` lines (the `protocol_trace` example).
 
 #include <cstdint>
 #include <functional>
@@ -17,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "lamsdlc/core/trace.hpp"
 #include "lamsdlc/obs/event.hpp"
 
 namespace lamsdlc::obs {
@@ -75,40 +73,48 @@ class EventBus {
   std::uint64_t emitted_{0};
 };
 
-/// Bridge the legacy string `Tracer` onto a bus: every event is rendered
-/// with `describe()` and emitted as a classic "[time] source: what" trace
-/// line.  Returns the subscription id (for `unsubscribe`).
-inline EventBus::SubscriptionId attach_tracer(EventBus& bus, Tracer tracer) {
-  return bus.subscribe([t = std::move(tracer)](const Event& e) {
-    t.emit(e.at, to_string(e.source), describe(e));
-  });
-}
-
-/// Per-component emission handle: a shared bus plus the component's own
-/// legacy tracer.  Components build an `Event` only when someone is
-/// listening (`active()`), then `emit` fans it out to the bus and renders it
-/// for the tracer — which is how the old string tracing became a thin
-/// pretty-printing consumer of the typed stream.
+/// Per-endpoint emission handle: the shared bus (null = unobserved) plus
+/// the endpoint's source.  Components build an `Event` only when someone is
+/// listening (`active()`).
 class Emitter {
  public:
   Emitter() = default;
-  Emitter(EventBus* bus, Tracer tracer)
-      : bus_{bus}, tracer_{std::move(tracer)} {}
+  Emitter(EventBus* bus, Source source) : bus_{bus}, source_{source} {}
 
   [[nodiscard]] bool active() const noexcept {
-    return (bus_ != nullptr && bus_->enabled()) || tracer_.enabled();
+    return bus_ != nullptr && bus_->enabled();
   }
 
   void emit(const Event& e) const {
     if (bus_ != nullptr) bus_->emit(e);
-    if (tracer_.enabled()) tracer_.emit(e.at, to_string(e.source), describe(e));
   }
 
-  [[nodiscard]] EventBus* bus() const noexcept { return bus_; }
+  /// \name Stamp one event with this endpoint's source and emit it, when
+  /// someone is listening; the payload type selects the union member.
+  /// @{
+  void emit(Time at, EventKind kind, const FramePayload& f) const {
+    if (!active()) return;
+    Event e{at, source_, kind, {}};
+    e.p.frame = f;
+    bus_->emit(e);
+  }
+  void emit(Time at, EventKind kind, const DropPayload& d) const {
+    if (!active()) return;
+    Event e{at, source_, kind, {}};
+    e.p.drop = d;
+    bus_->emit(e);
+  }
+  void emit(Time at, EventKind kind, const TimerPayload& t) const {
+    if (!active()) return;
+    Event e{at, source_, kind, {}};
+    e.p.timer = t;
+    bus_->emit(e);
+  }
+  /// @}
 
  private:
   EventBus* bus_ = nullptr;
-  Tracer tracer_;
+  Source source_ = Source::kOther;
 };
 
 }  // namespace lamsdlc::obs

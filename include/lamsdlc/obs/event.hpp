@@ -1,7 +1,6 @@
 #pragma once
 /// \file event.hpp
-/// \brief Typed protocol events — the machine-readable counterpart of the
-/// string `Tracer`.
+/// \brief Typed protocol events — the library's one instrumentation schema.
 ///
 /// Every observable protocol occurrence is an `Event`: a kind tag, the
 /// emitting source, the simulation instant, and a small POD payload in a
@@ -35,8 +34,10 @@ enum class Source : std::uint8_t {
   kLinkForward = 2,
   kLinkReverse = 3,
   kOther = 4,
+  kDlcSender = 5,    ///< Baseline (SR/GBN-HDLC, NBDT) sending endpoint.
+  kDlcReceiver = 6,  ///< Baseline (SR/GBN-HDLC, NBDT) receiving endpoint.
 };
-inline constexpr std::uint8_t kSourceCount = 5;
+inline constexpr std::uint8_t kSourceCount = 7;
 
 /// What happened.  On-disk value; append only.
 enum class EventKind : std::uint8_t {
@@ -89,8 +90,9 @@ enum class TimerId : std::uint8_t {
   kResyncTimer = 3,       ///< Sender RESYNC retry (capped exponential backoff).
   kSelfAuditCadence = 4,  ///< Endpoint periodic self-audit tick.
   kWatchdogTimer = 5,     ///< Sender progress watchdog.
+  kRetransmitTimeout = 6, ///< Baseline sender t_out (HDLC) / tail timer (NBDT).
 };
-inline constexpr std::uint8_t kTimerIdCount = 6;
+inline constexpr std::uint8_t kTimerIdCount = 7;
 
 /// Sender mode, mirroring lams::LamsSender::Mode.  On-disk value.
 enum class SenderMode : std::uint8_t {
@@ -304,8 +306,7 @@ struct Event {
 [[nodiscard]] std::optional<Source> source_from_string(std::string_view name) noexcept;
 /// @}
 
-/// Human-readable one-liner ("I-frame ctr=17 pkt=4 attempt=2") — what the
-/// legacy string `Tracer` prints when bridged onto an `EventBus`.
+/// Human-readable one-liner ("iframe tx ctr=17 pkt=4 attempt=2").
 [[nodiscard]] std::string describe(const Event& e);
 
 /// One JSON object (single line, no trailing newline) for external tooling.

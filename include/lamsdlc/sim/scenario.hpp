@@ -24,7 +24,6 @@
 
 #include "lamsdlc/analysis/model.hpp"
 #include "lamsdlc/core/simulator.hpp"
-#include "lamsdlc/core/trace.hpp"
 #include "lamsdlc/hdlc/gbn.hpp"
 #include "lamsdlc/hdlc/sr.hpp"
 #include "lamsdlc/lams/config.hpp"
@@ -72,8 +71,6 @@ struct ScenarioConfig {
   lams::LamsConfig lams;
   hdlc::HdlcConfig hdlc;
   nbdt::NbdtConfig nbdt;
-
-  Tracer tracer;  ///< Optional protocol tracing.
 
   /// Collect metrics (obs::Registry) from the typed event stream.  Off by
   /// default: with no subscriber the event bus costs one branch per site.
@@ -124,9 +121,9 @@ class Scenario {
   [[nodiscard]] DlcStats& stats() noexcept { return stats_; }
   [[nodiscard]] const ScenarioConfig& config() const noexcept { return cfg_; }
 
-  /// Typed protocol event bus; both link directions and the LAMS endpoints
-  /// publish here.  Subscribe a capture writer, a recording vector, or rely
-  /// on `metrics()` (populated when config().metrics is set).
+  /// Typed protocol event bus; both link directions and the protocol
+  /// endpoints publish here.  Subscribe a capture writer, a recording
+  /// vector, or rely on `metrics()` (populated when config().metrics is set).
   [[nodiscard]] obs::EventBus& events() noexcept { return bus_; }
   [[nodiscard]] obs::Registry& metrics() noexcept { return registry_; }
 

@@ -1,6 +1,5 @@
 #include "lamsdlc/hdlc/gbn.hpp"
 
-#include <string>
 #include <utility>
 
 namespace lamsdlc::hdlc {
@@ -8,21 +7,17 @@ namespace lamsdlc::hdlc {
 // ---------------------------------------------------------------- sender --
 
 GbnSender::GbnSender(Simulator& sim, link::SimplexChannel& data_out,
-                     HdlcConfig cfg, sim::DlcStats* stats, Tracer tracer)
+                     HdlcConfig cfg, sim::DlcStats* stats, obs::EventBus* bus)
     : sim_{sim},
       out_{data_out},
       cfg_{cfg},
       stats_{stats},
-      tracer_{std::move(tracer)},
+      obs_{bus, obs::Source::kDlcSender},
       seqspace_{cfg.modulus} {
   out_.set_idle_callback([this] { try_send(); }, [this] { return has_work(); });
 }
 
 GbnSender::~GbnSender() { sim_.cancel(timeout_timer_); }
-
-void GbnSender::trace(std::string what) const {
-  tracer_.emit(sim_.now(), "hdlc.gbn.sender", std::move(what));
-}
 
 void GbnSender::submit(sim::Packet p) {
   if (stats_) ++stats_->packets_submitted;
@@ -71,6 +66,8 @@ void GbnSender::try_send() {
       ++stats_->iframe_tx;
       if (p.attempts > 1) ++stats_->iframe_retx;
     }
+    obs_.emit(sim_.now(), obs::EventKind::kFrameSent,
+              obs::FramePayload{resend_cursor_, p.packet.id, p.attempts});
     ++resend_cursor_;
     if (!sim_.pending(timeout_timer_)) arm_timeout();
     out_.send(std::move(f));
@@ -87,6 +84,8 @@ void GbnSender::try_send() {
   f.body = frame::HdlcIFrame{seqspace_.wrap(ctr), 0, false,
                              it->second.packet.id, it->second.packet.bytes, {}};
   if (stats_) ++stats_->iframe_tx;
+  obs_.emit(sim_.now(), obs::EventKind::kFrameSent,
+            obs::FramePayload{ctr, it->second.packet.id, 1});
   if (!sim_.pending(timeout_timer_)) arm_timeout();
   out_.send(std::move(f));
 }
@@ -95,9 +94,11 @@ void GbnSender::release_below(std::uint64_t ctr) {
   bool advanced = false;
   while (!window_.empty() && window_.begin()->first < ctr) {
     auto it = window_.begin();
-    if (stats_) {
-      stats_->holding_time_s.add((sim_.now() - it->second.first_tx).sec());
-    }
+    const Time held = sim_.now() - it->second.first_tx;
+    if (stats_) stats_->holding_time_s.add(held.sec());
+    obs_.emit(sim_.now(), obs::EventKind::kFrameReleased,
+              obs::FramePayload{it->first, it->second.packet.id,
+                                it->second.attempts, 0, held.ps()});
     window_.erase(it);
     advanced = true;
   }
@@ -118,15 +119,22 @@ void GbnSender::release_below(std::uint64_t ctr) {
 }
 
 void GbnSender::go_back_to(std::uint64_t ctr) {
-  if (ctr < resend_cursor_) {
-    trace("go-back to ctr=" + std::to_string(ctr));
-    resend_cursor_ = ctr;
+  if (obs_.active()) {
+    for (auto it = window_.lower_bound(ctr);
+         it != window_.end() && it->first < resend_cursor_; ++it) {
+      obs_.emit(sim_.now(), obs::EventKind::kRetransmitQueued,
+                obs::FramePayload{it->first, it->second.packet.id,
+                                  it->second.attempts});
+    }
   }
+  resend_cursor_ = ctr;
 }
 
 void GbnSender::on_frame(frame::Frame f) {
   if (f.corrupted) {
     if (stats_) ++stats_->control_corrupted_rx;
+    obs_.emit(sim_.now(), obs::EventKind::kFrameDropped,
+              obs::DropPayload{obs::DropCause::kCorruptControl, 1});
     return;
   }
   const auto* s = std::get_if<frame::HdlcSFrame>(&f.body);
@@ -141,7 +149,7 @@ void GbnSender::on_frame(frame::Frame f) {
       break;
     case frame::HdlcSFrame::Type::REJ:
       release_below(nr);
-      go_back_to(nr);
+      if (nr < resend_cursor_) go_back_to(nr);
       break;
     default:
       break;
@@ -158,8 +166,9 @@ void GbnSender::on_timeout() {
   timeout_timer_ = 0;
   if (window_.empty()) return;
   ++timeouts_;
-  trace("t_out expired: going back to base");
-  resend_cursor_ = base_ctr_;
+  obs_.emit(sim_.now(), obs::EventKind::kTimerFired,
+            obs::TimerPayload{obs::TimerId::kRetransmitTimeout});
+  go_back_to(base_ctr_);
   arm_timeout();
   try_send();
 }
@@ -168,18 +177,14 @@ void GbnSender::on_timeout() {
 
 GbnReceiver::GbnReceiver(Simulator& sim, link::SimplexChannel& control_out,
                          HdlcConfig cfg, sim::PacketListener* listener,
-                         sim::DlcStats* stats, Tracer tracer)
+                         sim::DlcStats* stats, obs::EventBus* bus)
     : sim_{sim},
       out_{control_out},
       cfg_{cfg},
       listener_{listener},
       stats_{stats},
-      tracer_{std::move(tracer)},
+      obs_{bus, obs::Source::kDlcReceiver},
       seqspace_{cfg.modulus} {}
-
-void GbnReceiver::trace(std::string what) const {
-  tracer_.emit(sim_.now(), "hdlc.gbn.receiver", std::move(what));
-}
 
 void GbnReceiver::on_frame(frame::Frame f) {
   const auto* in = std::get_if<frame::HdlcIFrame>(&f.body);
@@ -197,6 +202,8 @@ void GbnReceiver::on_frame(frame::Frame f) {
 
   frame::Frame resp;
   if (in_receive_window && ctr == vr_) {
+    obs_.emit(sim_.now(), obs::EventKind::kFrameReceived,
+              obs::FramePayload{ctr, in->packet_id});
     ++vr_;
     rej_outstanding_ = false;
     const sim::Packet p{in->packet_id, in->payload_bytes, Time{},
@@ -220,12 +227,13 @@ void GbnReceiver::on_frame(frame::Frame f) {
       rej_outstanding_ = true;
       resp.body = frame::HdlcSFrame{frame::HdlcSFrame::Type::REJ,
                                     seqspace_.wrap(vr_), false, {}};
-      if (tracer_.enabled()) trace("REJ nr=" + std::to_string(vr_));
     } else {
       return;  // already rejected this gap
     }
   }
   if (stats_) ++stats_->control_tx;
+  obs_.emit(sim_.now(), obs::EventKind::kFrameSent,
+            obs::FramePayload{vr_, 0, 0, 1});
   out_.send(std::move(resp));
 }
 

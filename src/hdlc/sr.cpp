@@ -1,7 +1,6 @@
 #include "lamsdlc/hdlc/sr.hpp"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -10,21 +9,17 @@ namespace lamsdlc::hdlc {
 // ---------------------------------------------------------------- sender --
 
 SrSender::SrSender(Simulator& sim, link::SimplexChannel& data_out,
-                   HdlcConfig cfg, sim::DlcStats* stats, Tracer tracer)
+                   HdlcConfig cfg, sim::DlcStats* stats, obs::EventBus* bus)
     : sim_{sim},
       out_{data_out},
       cfg_{cfg},
       stats_{stats},
-      tracer_{std::move(tracer)},
+      obs_{bus, obs::Source::kDlcSender},
       seqspace_{cfg.modulus} {
   out_.set_idle_callback([this] { try_send(); }, [this] { return has_work(); });
 }
 
 SrSender::~SrSender() { sim_.cancel(timeout_timer_); }
-
-void SrSender::trace(std::string what) const {
-  tracer_.emit(sim_.now(), "hdlc.sr.sender", std::move(what));
-}
 
 void SrSender::submit(sim::Packet p) {
   if (stats_) ++stats_->packets_submitted;
@@ -138,17 +133,16 @@ void SrSender::send_iframe(std::uint64_t ctr, bool poll) {
     ++stats_->iframe_tx;
     if (p.attempts > 1) ++stats_->iframe_retx;
   }
-  if (tracer_.enabled()) {
-    trace("I-frame ctr=" + std::to_string(ctr) +
-          " attempt=" + std::to_string(p.attempts) + (poll ? " [P]" : ""));
-  }
+  obs_.emit(sim_.now(), obs::EventKind::kFrameSent,
+            obs::FramePayload{ctr, p.packet.id, p.attempts});
   out_.send(std::move(f));
 }
 
 void SrSender::on_frame(frame::Frame f) {
   if (f.corrupted) {
     if (stats_) ++stats_->control_corrupted_rx;
-    trace("corrupted response discarded");
+    obs_.emit(sim_.now(), obs::EventKind::kFrameDropped,
+              obs::DropPayload{obs::DropCause::kCorruptControl, 1});
     return;
   }
   const auto* s = std::get_if<frame::HdlcSFrame>(&f.body);
@@ -175,9 +169,11 @@ void SrSender::on_frame(frame::Frame f) {
 void SrSender::release_below(std::uint64_t ctr) {
   while (!window_.empty() && window_.begin()->first < ctr) {
     auto it = window_.begin();
-    if (stats_) {
-      stats_->holding_time_s.add((sim_.now() - it->second.first_tx).sec());
-    }
+    const Time held = sim_.now() - it->second.first_tx;
+    if (stats_) stats_->holding_time_s.add(held.sec());
+    obs_.emit(sim_.now(), obs::EventKind::kFrameReleased,
+              obs::FramePayload{it->first, it->second.packet.id,
+                                it->second.attempts, 0, held.ps()});
     window_.erase(it);
   }
   base_ctr_ = window_.empty() ? next_ctr_ : window_.begin()->first;
@@ -194,7 +190,6 @@ std::uint64_t SrSender::ack_counter(frame::Seq nr) const {
 
 void SrSender::handle_rr(const frame::HdlcSFrame& s) {
   const std::uint64_t nr = ack_counter(s.nr);
-  if (tracer_.enabled()) trace("RR nr=" + std::to_string(nr));
   sim_.cancel(timeout_timer_);
   timeout_timer_ = 0;
   release_below(nr);
@@ -205,8 +200,7 @@ void SrSender::handle_rr(const frame::HdlcSFrame& s) {
   } else {
     // Defensive: an RR that leaves frames unacknowledged means our model of
     // the receiver is out of sync; resend the remainder rather than stall.
-    retx_queue_.clear();
-    for (const auto& [ctr, p] : window_) retx_queue_.push_back(ctr);
+    queue_window();
   }
   try_send();
 }
@@ -215,19 +209,17 @@ void SrSender::handle_srej(const frame::HdlcSFrame& s) {
   const std::uint64_t nr = ack_counter(s.nr);
   sim_.cancel(timeout_timer_);
   timeout_timer_ = 0;
-  std::size_t queued = 0;
   auto reject = [&](frame::Seq wire) {
     // Rejected frames lie in [base, base+W).
     const std::uint32_t d = seqspace_.forward(seqspace_.wrap(base_ctr_), wire);
     if (d >= cfg_.window) return;  // stale
-    const std::uint64_t ctr = base_ctr_ + d;
-    if (!window_.contains(ctr)) return;
-    if (std::find(retx_queue_.begin(), retx_queue_.end(), ctr) !=
+    const auto it = window_.find(base_ctr_ + d);
+    if (it == window_.end()) return;
+    if (std::find(retx_queue_.begin(), retx_queue_.end(), it->first) !=
         retx_queue_.end()) {
       return;
     }
-    retx_queue_.emplace_back(ctr);
-    ++queued;
+    queue_retx(it->first, it->second);
   };
   if (s.srej_list.empty()) {
     reject(s.nr);  // single-SREJ form
@@ -235,13 +227,10 @@ void SrSender::handle_srej(const frame::HdlcSFrame& s) {
     for (const frame::Seq wire : s.srej_list) reject(wire);
   }
   release_below(nr);
-  if (tracer_.enabled()) {
-    trace("SREJ nr=" + std::to_string(nr) + " rejected=" + std::to_string(queued));
-  }
   if (retx_queue_.empty() && !window_.empty()) {
     // Everything listed was already acknowledged; poll again via timeout
     // path to avoid deadlock.
-    for (const auto& [ctr, p] : window_) retx_queue_.push_back(ctr);
+    queue_window();
   }
   try_send();
 }
@@ -262,30 +251,37 @@ void SrSender::on_timeout() {
   timeout_timer_ = 0;
   if (window_.empty()) return;
   ++timeouts_;
-  trace("t_out expired: retransmitting window remainder");
+  obs_.emit(sim_.now(), obs::EventKind::kTimerFired,
+            obs::TimerPayload{obs::TimerId::kRetransmitTimeout});
   // Timeout recovery (retransmission period): resend every unacknowledged
   // frame, P on the last.
-  retx_queue_.clear();
-  for (const auto& [ctr, p] : window_) retx_queue_.push_back(ctr);
+  queue_window();
   try_send();
+}
+
+void SrSender::queue_retx(std::uint64_t ctr, const Pending& p) {
+  retx_queue_.push_back(ctr);
+  obs_.emit(sim_.now(), obs::EventKind::kRetransmitQueued,
+            obs::FramePayload{ctr, p.packet.id, p.attempts});
+}
+
+void SrSender::queue_window() {
+  retx_queue_.clear();
+  for (const auto& [ctr, p] : window_) queue_retx(ctr, p);
 }
 
 // -------------------------------------------------------------- receiver --
 
 SrReceiver::SrReceiver(Simulator& sim, link::SimplexChannel& control_out,
                        HdlcConfig cfg, sim::PacketListener* listener,
-                       sim::DlcStats* stats, Tracer tracer)
+                       sim::DlcStats* stats, obs::EventBus* bus)
     : sim_{sim},
       out_{control_out},
       cfg_{cfg},
       listener_{listener},
       stats_{stats},
-      tracer_{std::move(tracer)},
+      obs_{bus, obs::Source::kDlcReceiver},
       seqspace_{cfg.modulus} {}
-
-void SrReceiver::trace(std::string what) const {
-  tracer_.emit(sim_.now(), "hdlc.sr.receiver", std::move(what));
-}
 
 void SrReceiver::on_frame(frame::Frame f) {
   const auto* in = std::get_if<frame::HdlcIFrame>(&f.body);
@@ -318,6 +314,8 @@ void SrReceiver::handle_iframe(const frame::HdlcIFrame& in, bool corrupted) {
       } else {
         held_.emplace(ctr, sim::Packet{in.packet_id, in.payload_bytes, Time{},
                                        0, 0, 1, in.payload});
+        obs_.emit(sim_.now(), obs::EventKind::kFrameReceived,
+                  obs::FramePayload{ctr, in.packet_id});
         if (stats_) {
           stats_->recv_buffer.update(sim_.now(),
                                      static_cast<double>(held_.size()));
@@ -357,28 +355,20 @@ void SrReceiver::respond() {
     // head arrives via timeout recovery.
     f.body = frame::HdlcSFrame{frame::HdlcSFrame::Type::RNR,
                                seqspace_.wrap(vr_), true, {}};
-    if (tracer_.enabled()) trace("RNR nr=" + std::to_string(vr_));
-    if (stats_) ++stats_->control_tx;
-    out_.send(std::move(f));
-    return;
-  }
-  if (vr_ == highest_plus1_) {
+  } else if (vr_ == highest_plus1_) {
     f.body = frame::HdlcSFrame{frame::HdlcSFrame::Type::RR, seqspace_.wrap(vr_),
                                true, {}};
-    if (tracer_.enabled()) trace("RR nr=" + std::to_string(vr_));
   } else {
     std::vector<frame::Seq> missing;
     for (std::uint64_t c = vr_; c < highest_plus1_; ++c) {
       if (!held_.contains(c)) missing.push_back(seqspace_.wrap(c));
     }
-    if (tracer_.enabled()) {
-      trace("SREJ nr=" + std::to_string(vr_) +
-            " missing=" + std::to_string(missing.size()));
-    }
     f.body = frame::HdlcSFrame{frame::HdlcSFrame::Type::SREJ,
                                seqspace_.wrap(vr_), true, std::move(missing)};
   }
   if (stats_) ++stats_->control_tx;
+  obs_.emit(sim_.now(), obs::EventKind::kFrameSent,
+            obs::FramePayload{vr_, 0, 0, 1});
   out_.send(std::move(f));
 }
 

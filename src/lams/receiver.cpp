@@ -8,14 +8,13 @@ namespace lamsdlc::lams {
 
 LamsReceiver::LamsReceiver(Simulator& sim, link::FrameChannel& control_out,
                            LamsConfig cfg, sim::PacketListener* listener,
-                           sim::DlcStats* stats, Tracer tracer,
-                           obs::EventBus* bus)
+                           sim::DlcStats* stats, obs::EventBus* bus)
     : sim_{sim},
       out_{control_out},
       cfg_{cfg},
       listener_{listener},
       stats_{stats},
-      obs_{bus, std::move(tracer)},
+      obs_{bus, obs::Source::kLamsReceiver},
       seqspace_{cfg.modulus} {}
 
 LamsReceiver::~LamsReceiver() {
@@ -33,10 +32,8 @@ obs::Event LamsReceiver::make_event(obs::EventKind k) const {
 
 void LamsReceiver::emit_drop(obs::DropCause cause, std::uint8_t control,
                              std::uint64_t ctr) {
-  if (!obs_.active()) return;
-  obs::Event e = make_event(obs::EventKind::kFrameDropped);
-  e.p.drop = {cause, control, ctr};
-  obs_.emit(e);
+  obs_.emit(sim_.now(), obs::EventKind::kFrameDropped,
+            obs::DropPayload{cause, control, ctr});
 }
 
 void LamsReceiver::note_recv_buffer() {
@@ -77,11 +74,8 @@ void LamsReceiver::reset_session() {
 
 void LamsReceiver::checkpoint_tick() {
   if (!running_) return;
-  if (obs_.active()) {
-    obs::Event e = make_event(obs::EventKind::kTimerFired);
-    e.p.timer = {obs::TimerId::kCheckpointCadence, 0};
-    obs_.emit(e);
-  }
+  obs_.emit(sim_.now(), obs::EventKind::kTimerFired,
+            obs::TimerPayload{obs::TimerId::kCheckpointCadence, 0});
   // Close the current detection interval before reporting, so a NAK raised
   // an instant before the tick is included in this checkpoint.
   interval_naks_.push_back(std::move(current_interval_));
@@ -233,11 +227,8 @@ void LamsReceiver::handle_iframe(const frame::IFrame& in, bool corrupted) {
     // receiver learns of it only through the sequence gap exposed by the
     // next good arrival (or the sender's highest-seen reasoning).
     if (stats_) ++stats_->iframe_corrupted_rx;
-    if (obs_.active()) {
-      obs::Event e = make_event(obs::EventKind::kFrameCorrupted);
-      e.p.drop = {obs::DropCause::kWireCorruption, 0, in.seq};
-      obs_.emit(e);
-    }
+    obs_.emit(sim_.now(), obs::EventKind::kFrameCorrupted,
+              obs::DropPayload{obs::DropCause::kWireCorruption, 0, in.seq});
     return;
   }
   if (processing_ >= cfg_.recv_hard_capacity) {
@@ -296,11 +287,8 @@ void LamsReceiver::handle_iframe(const frame::IFrame& in, bool corrupted) {
   anchor_arrival_ = arrival_ref;
   any_seen_ = true;
 
-  if (obs_.active()) {
-    obs::Event e = make_event(obs::EventKind::kFrameReceived);
-    e.p.frame = {ctr, in.packet_id, 0, 0, 0};
-    obs_.emit(e);
-  }
+  obs_.emit(sim_.now(), obs::EventKind::kFrameReceived,
+            obs::FramePayload{ctr, in.packet_id, 0, 0, 0});
   deliver_up(in, ctr);
 }
 
@@ -354,11 +342,8 @@ void LamsReceiver::finish_deliver_up(std::uint32_t slot) {
 }
 
 void LamsReceiver::handle_request_nak(const frame::RequestNakFrame& rq) {
-  if (obs_.active()) {
-    obs::Event e = make_event(obs::EventKind::kFrameReceived);
-    e.p.frame = {rq.token, 0, 0, 1, 0};
-    obs_.emit(e);
-  }
+  obs_.emit(sim_.now(), obs::EventKind::kFrameReceived,
+            obs::FramePayload{rq.token, 0, 0, 1, 0});
   emit_checkpoint(/*enforced=*/true);
 }
 
@@ -366,11 +351,8 @@ void LamsReceiver::handle_request_nak(const frame::RequestNakFrame& rq) {
 // Self-stabilization: RESYNC application, audit, corruption hooks.
 
 void LamsReceiver::handle_resync(const frame::ResyncFrame& rs) {
-  if (obs_.active()) {
-    obs::Event e = make_event(obs::EventKind::kFrameReceived);
-    e.p.frame = {rs.token, 0, 0, 1, 0};
-    obs_.emit(e);
-  }
+  obs_.emit(sim_.now(), obs::EventKind::kFrameReceived,
+            obs::FramePayload{rs.token, 0, 0, 1, 0});
   if (rs.epoch < epoch_) return;  // leftover of a superseded episode/session
   if (rs.epoch > epoch_) {
     // Fresh episode: drop every trace of the dead sequence space and adopt
@@ -401,11 +383,8 @@ void LamsReceiver::handle_resync(const frame::ResyncFrame& rs) {
   frame::Frame f;
   f.body = frame::ResyncAckFrame{rs.token, rs.epoch};
   if (stats_) ++stats_->control_tx;
-  if (obs_.active()) {
-    obs::Event e = make_event(obs::EventKind::kFrameSent);
-    e.p.frame = {rs.token, 0, 0, 1, 0};
-    obs_.emit(e);
-  }
+  obs_.emit(sim_.now(), obs::EventKind::kFrameSent,
+            obs::FramePayload{rs.token, 0, 0, 1, 0});
   out_.send(std::move(f));
 }
 

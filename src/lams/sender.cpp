@@ -21,13 +21,13 @@ obs::SenderMode to_obs(LamsSender::Mode m) noexcept {
 }  // namespace
 
 LamsSender::LamsSender(Simulator& sim, link::FrameChannel& data_out,
-                       LamsConfig cfg, sim::DlcStats* stats, Tracer tracer,
+                       LamsConfig cfg, sim::DlcStats* stats,
                        obs::EventBus* bus)
     : sim_{sim},
       out_{data_out},
       cfg_{cfg},
       stats_{stats},
-      obs_{bus, std::move(tracer)},
+      obs_{bus, obs::Source::kLamsSender},
       seqspace_{cfg.modulus} {
   out_.set_idle_callback([this] { try_send(); }, [this] { return has_work(); });
   if (!cfg_.self_audit_period.is_zero()) {
@@ -59,10 +59,8 @@ obs::Event LamsSender::make_event(obs::EventKind k) const {
 
 void LamsSender::emit_frame_event(obs::EventKind k, std::uint64_t ctr,
                                   const Pending& p, std::int64_t holding_ps) {
-  if (!obs_.active()) return;
-  obs::Event e = make_event(k);
-  e.p.frame = {ctr, p.packet.id, p.attempts, 0, holding_ps};
-  obs_.emit(e);
+  obs_.emit(sim_.now(), k,
+            obs::FramePayload{ctr, p.packet.id, p.attempts, 0, holding_ps});
 }
 
 void LamsSender::emit_mode_change(Mode from, Mode to,
@@ -74,10 +72,7 @@ void LamsSender::emit_mode_change(Mode from, Mode to,
 }
 
 void LamsSender::emit_timer(obs::EventKind k, obs::TimerId id, Time deadline) {
-  if (!obs_.active()) return;
-  obs::Event e = make_event(k);
-  e.p.timer = {id, deadline.ps()};
-  obs_.emit(e);
+  obs_.emit(sim_.now(), k, obs::TimerPayload{id, deadline.ps()});
 }
 
 void LamsSender::submit(sim::Packet p) {
@@ -238,11 +233,8 @@ void LamsSender::on_frame(frame::Frame f) {
     // A damaged control command is unreadable; the cumulative NAK design
     // makes the *next* checkpoint carry the same information.
     if (stats_) ++stats_->control_corrupted_rx;
-    if (obs_.active()) {
-      obs::Event e = make_event(obs::EventKind::kFrameDropped);
-      e.p.drop = {obs::DropCause::kCorruptControl, 1, 0};
-      obs_.emit(e);
-    }
+    obs_.emit(sim_.now(), obs::EventKind::kFrameDropped,
+              obs::DropPayload{obs::DropCause::kCorruptControl, 1, 0});
     return;
   }
   if (const auto* cp = std::get_if<frame::CheckpointFrame>(&f.body)) {
@@ -482,11 +474,8 @@ void LamsSender::send_request_nak() {
   if (stats_) ++stats_->control_tx;
   ++request_naks_;
   request_sent_at_ = sim_.now();
-  if (obs_.active()) {
-    obs::Event e = make_event(obs::EventKind::kFrameSent);
-    e.p.frame = {request_token_, 0, 0, 1, 0};
-    obs_.emit(e);
-  }
+  obs_.emit(sim_.now(), obs::EventKind::kFrameSent,
+            obs::FramePayload{request_token_, 0, 0, 1, 0});
   out_.send(std::move(f));
 }
 
@@ -723,11 +712,8 @@ void LamsSender::send_resync() {
   frame::Frame f;
   f.body = frame::ResyncFrame{resync_token_, pending_resync_epoch_};
   if (stats_) ++stats_->control_tx;
-  if (obs_.active()) {
-    obs::Event e = make_event(obs::EventKind::kFrameSent);
-    e.p.frame = {resync_token_, 0, resync_attempt_, 1, 0};
-    obs_.emit(e);
-  }
+  obs_.emit(sim_.now(), obs::EventKind::kFrameSent,
+            obs::FramePayload{resync_token_, 0, resync_attempt_, 1, 0});
   out_.send(std::move(f));
   // Capped exponential backoff: 1x, 2x, 4x, then 8x per further attempt
   // (mirrored by LamsConfig::resync_budget()).
@@ -747,11 +733,8 @@ void LamsSender::on_resync_timer() {
 }
 
 void LamsSender::handle_resync_ack(const frame::ResyncAckFrame& ack) {
-  if (obs_.active()) {
-    obs::Event e = make_event(obs::EventKind::kFrameReceived);
-    e.p.frame = {ack.token, 0, 0, 1, 0};
-    obs_.emit(e);
-  }
+  obs_.emit(sim_.now(), obs::EventKind::kFrameReceived,
+            obs::FramePayload{ack.token, 0, 0, 1, 0});
   if (mode_ != Mode::kResyncing) return;  // duplicate ack, episode over
   if (ack.token != resync_token_ || ack.epoch != pending_resync_epoch_) return;
   complete_resync();

@@ -8,20 +8,16 @@ namespace lamsdlc::nbdt {
 // ---------------------------------------------------------------- sender --
 
 NbdtSender::NbdtSender(Simulator& sim, link::SimplexChannel& data_out,
-                       NbdtConfig cfg, sim::DlcStats* stats, Tracer tracer)
+                       NbdtConfig cfg, sim::DlcStats* stats, obs::EventBus* bus)
     : sim_{sim},
       out_{data_out},
       cfg_{cfg},
       stats_{stats},
-      tracer_{std::move(tracer)} {
+      obs_{bus, obs::Source::kDlcSender} {
   out_.set_idle_callback([this] { try_send(); }, [this] { return has_work(); });
 }
 
 NbdtSender::~NbdtSender() { sim_.cancel(tail_timer_); }
-
-void NbdtSender::trace(std::string what) const {
-  tracer_.emit(sim_.now(), "nbdt.sender", std::move(what));
-}
 
 void NbdtSender::submit(sim::Packet p) {
   if (stats_) ++stats_->packets_submitted;
@@ -94,6 +90,8 @@ void NbdtSender::try_send() {
     ++stats_->iframe_tx;
     if (p->attempts > 1) ++stats_->iframe_retx;
   }
+  obs_.emit(sim_.now(), obs::EventKind::kFrameSent,
+            obs::FramePayload{number, p->packet.id, p->attempts});
   if (!sim_.pending(tail_timer_)) {
     tail_timer_ = sim_.schedule_in(cfg_.timeout, [this] { on_tail_timer(); });
   }
@@ -103,9 +101,11 @@ void NbdtSender::try_send() {
 void NbdtSender::release(std::uint64_t number) {
   auto it = window_.find(number);
   if (it == window_.end()) return;
-  if (stats_) {
-    stats_->holding_time_s.add((sim_.now() - it->second.first_tx).sec());
-  }
+  const Time held = sim_.now() - it->second.first_tx;
+  if (stats_) stats_->holding_time_s.add(held.sec());
+  obs_.emit(sim_.now(), obs::EventKind::kFrameReleased,
+            obs::FramePayload{number, it->second.packet.id,
+                              it->second.attempts, 0, held.ps()});
   if (it->second.attempts >= 2 && unconfirmed_retx_ > 0) --unconfirmed_retx_;
   window_.erase(it);
 }
@@ -120,6 +120,9 @@ void NbdtSender::queue_retx(std::uint64_t number) {
     return;
   }
   retx_queue_.push_back(number);
+  obs_.emit(sim_.now(), obs::EventKind::kRetransmitQueued,
+            obs::FramePayload{number, it->second.packet.id,
+                              it->second.attempts});
 }
 
 void NbdtSender::handle_status(const frame::SelectiveAckFrame& st) {
@@ -153,6 +156,8 @@ void NbdtSender::on_tail_timer() {
   if (window_.empty()) {
     return;
   }
+  obs_.emit(sim_.now(), obs::EventKind::kTimerFired,
+            obs::TimerPayload{obs::TimerId::kRetransmitTimeout});
   // Anything unacknowledged for a full timeout is re-offered (covers tails
   // the status reports cannot name and lost status runs).
   for (const auto& [num, p] : window_) {
@@ -167,6 +172,8 @@ void NbdtSender::on_tail_timer() {
 void NbdtSender::on_frame(frame::Frame f) {
   if (f.corrupted) {
     if (stats_) ++stats_->control_corrupted_rx;
+    obs_.emit(sim_.now(), obs::EventKind::kFrameDropped,
+              obs::DropPayload{obs::DropCause::kCorruptControl, 1});
     return;
   }
   if (const auto* st = std::get_if<frame::SelectiveAckFrame>(&f.body)) {
@@ -178,19 +185,15 @@ void NbdtSender::on_frame(frame::Frame f) {
 
 NbdtReceiver::NbdtReceiver(Simulator& sim, link::SimplexChannel& control_out,
                            NbdtConfig cfg, sim::PacketListener* listener,
-                           sim::DlcStats* stats, Tracer tracer)
+                           sim::DlcStats* stats, obs::EventBus* bus)
     : sim_{sim},
       out_{control_out},
       cfg_{cfg},
       listener_{listener},
       stats_{stats},
-      tracer_{std::move(tracer)} {}
+      obs_{bus, obs::Source::kDlcReceiver} {}
 
 NbdtReceiver::~NbdtReceiver() { sim_.cancel(status_timer_); }
-
-void NbdtReceiver::trace(std::string what) const {
-  tracer_.emit(sim_.now(), "nbdt.receiver", std::move(what));
-}
 
 void NbdtReceiver::start() {
   if (running_) return;
@@ -217,6 +220,8 @@ void NbdtReceiver::status_tick() {
   }
   ++statuses_;
   if (stats_) ++stats_->control_tx;
+  obs_.emit(sim_.now(), obs::EventKind::kFrameSent,
+            obs::FramePayload{base_, 0, 0, 1});
   frame::Frame f;
   f.body = std::move(st);
   out_.send(std::move(f));
@@ -253,6 +258,8 @@ void NbdtReceiver::on_frame(frame::Frame f) {
   }
   held_.emplace(number, sim::Packet{in->packet_id, in->payload_bytes, Time{}, 0,
                                     0, 1, in->payload});
+  obs_.emit(sim_.now(), obs::EventKind::kFrameReceived,
+            obs::FramePayload{number, in->packet_id});
   highest_plus1_ = std::max(highest_plus1_, number + 1);
   if (stats_) {
     stats_->recv_buffer.update(sim_.now(), static_cast<double>(held_.size()));

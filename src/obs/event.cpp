@@ -147,6 +147,8 @@ const char* to_string(Source s) noexcept {
     case Source::kLinkForward: return "link.forward";
     case Source::kLinkReverse: return "link.reverse";
     case Source::kOther: return "other";
+    case Source::kDlcSender: return "dlc.sender";
+    case Source::kDlcReceiver: return "dlc.receiver";
   }
   return "unknown";
 }
@@ -175,6 +177,7 @@ const char* to_string(TimerId t) noexcept {
     case TimerId::kResyncTimer: return "resync_timer";
     case TimerId::kSelfAuditCadence: return "self_audit_cadence";
     case TimerId::kWatchdogTimer: return "watchdog_timer";
+    case TimerId::kRetransmitTimeout: return "retransmit_timeout";
   }
   return "unknown";
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "lamsdlc/obs/event.hpp"
@@ -13,16 +14,18 @@
 namespace lamsdlc::obs {
 namespace {
 
-/// The acceptance-criterion cross-check: the registry's retransmission
-/// counter must match counts derived independently of the collector — the
-/// sender's own DlcStats accumulator and a raw recount of the event stream.
-TEST(Collector, RetransmissionCounterMatchesIndependentCounts) {
+/// The acceptance-criterion cross-check: the registry's per-endpoint
+/// counters must match counts derived independently of the collector — the
+/// endpoints' own DlcStats accumulators and a raw recount of the event
+/// stream.  \p tx / \p rx are the sending and receiving endpoints' sources.
+void expect_counters_match_stats(sim::Protocol protocol, std::uint64_t seed,
+                                 double p_frame, Source tx, Source rx) {
   sim::ScenarioConfig cfg;
-  cfg.protocol = sim::Protocol::kLams;
-  cfg.seed = 3;
+  cfg.protocol = protocol;
+  cfg.seed = seed;
   cfg.metrics = true;
   cfg.forward_error.kind = sim::ErrorConfig::Kind::kFixedFrameProb;
-  cfg.forward_error.p_frame = 0.12;
+  cfg.forward_error.p_frame = p_frame;
   cfg.forward_error.p_control = 0.03;
   cfg.reverse_error = cfg.forward_error;
   sim::Scenario s{cfg};
@@ -36,7 +39,7 @@ TEST(Collector, RetransmissionCounterMatchesIndependentCounts) {
 
   std::uint64_t retx_from_events = 0, tx_from_events = 0;
   for (const Event& e : raw) {
-    if (e.source != Source::kLamsSender || e.kind != EventKind::kFrameSent ||
+    if (e.source != tx || e.kind != EventKind::kFrameSent ||
         e.p.frame.control != 0) {
       continue;
     }
@@ -46,11 +49,53 @@ TEST(Collector, RetransmissionCounterMatchesIndependentCounts) {
   ASSERT_GT(retx_from_events, 0u) << "faulty run produced no retransmissions";
 
   Registry& reg = s.metrics();
-  EXPECT_EQ(reg.counter_value("lams.sender.iframe_retx"), retx_from_events);
-  EXPECT_EQ(reg.counter_value("lams.sender.iframe_retx"), s.stats().iframe_retx);
-  EXPECT_EQ(reg.counter_value("lams.sender.iframe_tx"), tx_from_events);
-  EXPECT_EQ(reg.counter_value("lams.sender.iframe_tx"), s.stats().iframe_tx);
+  const std::string pre = to_string(tx);
+  const std::string rx_pre = to_string(rx);
+  EXPECT_EQ(reg.counter_value(pre + ".iframe_retx"), retx_from_events);
+  EXPECT_EQ(reg.counter_value(pre + ".iframe_retx"), s.stats().iframe_retx);
+  EXPECT_EQ(reg.counter_value(pre + ".iframe_tx"), tx_from_events);
+  EXPECT_EQ(reg.counter_value(pre + ".iframe_tx"), s.stats().iframe_tx);
+  // LAMS checkpoints count as control frames but publish as
+  // kCheckpointEmitted, not kFrameSent (the baselines emit none).
+  EXPECT_EQ(reg.counter_value(pre + ".control_tx") +
+                reg.counter_value(rx_pre + ".control_tx") +
+                reg.counter_value(rx_pre + ".checkpoints_emitted"),
+            s.stats().control_tx);
+  const LogHistogram* hold = reg.find_histogram(pre + ".holding_time_ms");
+  ASSERT_NE(hold, nullptr);
+  EXPECT_EQ(hold->count(), s.stats().holding_time_s.count());
+  EXPECT_EQ(reg.counter_value(pre + ".frames_released"), 400u);
+  EXPECT_EQ(reg.counter_value(rx_pre + ".iframe_rx"), 400u);
+  EXPECT_EQ(reg.counter_value(pre + ".corrupt_control_discards") +
+                reg.counter_value(rx_pre + ".corrupt_control_discards"),
+            s.stats().control_corrupted_rx);
 }
+
+TEST(Collector, RetransmissionCounterMatchesIndependentCounts) {
+  expect_counters_match_stats(sim::Protocol::kLams, 3, 0.12,
+                              Source::kLamsSender, Source::kLamsReceiver);
+}
+
+/// The baselines publish on the same bus under the dlc.* sources, so the
+/// E-series comparisons get the same metrics from the same schema.
+class BaselineCollector : public ::testing::TestWithParam<sim::Protocol> {};
+
+TEST_P(BaselineCollector, CountersMatchDlcStats) {
+  expect_counters_match_stats(GetParam(), 3, 0.1, Source::kDlcSender,
+                              Source::kDlcReceiver);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Baselines, BaselineCollector,
+    ::testing::Values(sim::Protocol::kSrHdlc, sim::Protocol::kGbnHdlc,
+                      sim::Protocol::kNbdt),
+    [](const ::testing::TestParamInfo<sim::Protocol>& info) {
+      switch (info.param) {
+        case sim::Protocol::kSrHdlc: return std::string{"sr"};
+        case sim::Protocol::kGbnHdlc: return std::string{"gbn"};
+        default: return std::string{"nbdt"};
+      }
+    });
 
 TEST(Collector, ReceiverAndLinkCountersMatchComponentAccumulators) {
   sim::ScenarioConfig cfg;

@@ -114,28 +114,29 @@ TEST(EventBus, UnsubscribeStopsDeliveryAndUnknownIdIsNoop) {
   EXPECT_EQ(seen[0].p.frame.ctr, 1u);
 }
 
-TEST(EventBus, TracerBridgeRendersDescribe) {
-  EventBus bus;
-  std::vector<TraceEvent> lines;
-  attach_tracer(bus, Tracer{[&lines](const TraceEvent& t) { lines.push_back(t); }});
-  bus.emit(frame_event(EventKind::kFrameSent, 17));
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(lines[0].source, std::string{"lams.sender"});
-  EXPECT_NE(lines[0].what.find("17"), std::string::npos);
-}
-
-TEST(Emitter, InactiveWithoutBusOrTracer) {
+TEST(Emitter, InactiveWithoutSubscriber) {
   Emitter none;
   EXPECT_FALSE(none.active());
+  none.emit(Time{}, EventKind::kFrameSent, FramePayload{1});  // no bus: no-op
 
   EventBus bus;
-  Emitter with_bus{&bus, Tracer{}};
+  Emitter with_bus{&bus, Source::kDlcSender};
   EXPECT_FALSE(with_bus.active());  // bus exists but has no subscriber
   std::vector<Event> seen;
   bus.subscribe(EventBus::record_into(seen));
   EXPECT_TRUE(with_bus.active());
   with_bus.emit(frame_event(EventKind::kFrameSent, 5));
-  EXPECT_EQ(seen.size(), 1u);
+  with_bus.emit(Time::milliseconds(3), EventKind::kTimerFired,
+                TimerPayload{TimerId::kRetransmitTimeout});
+  with_bus.emit(Time::milliseconds(4), EventKind::kFrameDropped,
+                DropPayload{DropCause::kCorruptControl, 1});
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0].source, Source::kLamsSender);  // a built event is as given
+  // The stamping forms carry the emitter's source and the given payload.
+  EXPECT_EQ(seen[1].source, Source::kDlcSender);
+  EXPECT_EQ(seen[1].at, Time::milliseconds(3));
+  EXPECT_EQ(describe(seen[1]), "timer fired retransmit_timeout");
+  EXPECT_EQ(describe(seen[2]), "control dropped cause=corrupt_control");
 }
 
 }  // namespace

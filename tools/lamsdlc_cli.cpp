@@ -184,6 +184,8 @@
 /// byte-identical at every --partitions value.
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -191,6 +193,8 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "lamsdlc/analysis/model.hpp"
@@ -275,6 +279,28 @@ void print_help() {
   std::exit(2);
 }
 
+/// The value of numeric flag \p flag: all of \p text must be one number of
+/// type T — no sign for unsigned fields, finite for floating point.
+template <class T>
+T parse_number(std::string_view flag, std::string_view text) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  bool ok = !text.empty() && ec == std::errc{} && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
+  if (!ok) {
+    usage_error("bad value for " + std::string(flag) + ": '" +
+                std::string(text) + "'");
+  }
+  return v;
+}
+
+double parse_probability(std::string_view flag, std::string_view text) {
+  const double p = parse_number<double>(flag, text);
+  if (p < 0 || p > 1) usage_error(std::string(flag) + " must be in [0, 1]");
+  return p;
+}
+
 Options parse(int argc, char** argv) {
   Options o;
   double pf = 0, pc = 0, ber = -1, burst_ms = -1;
@@ -298,36 +324,38 @@ Options parse(int argc, char** argv) {
         usage_error("unknown protocol " + v);
       }
     } else if (a == "--rate") {
-      o.cfg.data_rate_bps = std::atof(need(i));
+      o.cfg.data_rate_bps = parse_number<double>(a, need(i));
     } else if (a == "--delay-ms") {
-      o.cfg.prop_delay = Time::seconds(std::atof(need(i)) * 1e-3);
+      o.cfg.prop_delay = Time::seconds(parse_number<double>(a, need(i)) * 1e-3);
     } else if (a == "--frame-bytes") {
-      o.cfg.frame_bytes = static_cast<std::uint32_t>(std::atoi(need(i)));
+      o.cfg.frame_bytes = parse_number<std::uint32_t>(a, need(i));
     } else if (a == "--frames") {
-      o.frames = static_cast<std::uint64_t>(std::atoll(need(i)));
+      o.frames = parse_number<std::uint64_t>(a, need(i));
     } else if (a == "--pf") {
-      pf = std::atof(need(i));
+      pf = parse_probability(a, need(i));
     } else if (a == "--pc") {
-      pc = std::atof(need(i));
+      pc = parse_probability(a, need(i));
     } else if (a == "--ber") {
-      ber = std::atof(need(i));
+      ber = parse_probability(a, need(i));
     } else if (a == "--burst-ms") {
-      burst_ms = std::atof(need(i));
+      burst_ms = parse_number<double>(a, need(i));
     } else if (a == "--icp-ms") {
-      o.cfg.lams.checkpoint_interval = Time::seconds(std::atof(need(i)) * 1e-3);
+      o.cfg.lams.checkpoint_interval =
+          Time::seconds(parse_number<double>(a, need(i)) * 1e-3);
     } else if (a == "--cdepth") {
-      o.cfg.lams.cumulation_depth = static_cast<std::uint32_t>(std::atoi(need(i)));
+      o.cfg.lams.cumulation_depth = parse_number<std::uint32_t>(a, need(i));
     } else if (a == "--window") {
-      o.cfg.hdlc.window = static_cast<std::uint32_t>(std::atoi(need(i)));
+      o.cfg.hdlc.window = parse_number<std::uint32_t>(a, need(i));
       o.cfg.hdlc.modulus = 4 * o.cfg.hdlc.window;
     } else if (a == "--timeout-ms") {
-      o.cfg.hdlc.timeout = Time::seconds(std::atof(need(i)) * 1e-3);
+      o.cfg.hdlc.timeout =
+          Time::seconds(parse_number<double>(a, need(i)) * 1e-3);
     } else if (a == "--seed") {
-      o.cfg.seed = static_cast<std::uint64_t>(std::atoll(need(i)));
+      o.cfg.seed = parse_number<std::uint64_t>(a, need(i));
     } else if (a == "--byte-level") {
       o.cfg.byte_level_wire = true;
     } else if (a == "--horizon-s") {
-      o.horizon_s = std::atof(need(i));
+      o.horizon_s = parse_number<double>(a, need(i));
     } else if (a == "--csv") {
       o.csv = true;
     } else if (a == "--csv-header") {
@@ -1462,35 +1490,37 @@ int run_network_command(int argc, char** argv) {
                   "tools/lamsdlc_cli.cpp (run_network_command)\n");
       return 0;
     } else if (a == "--sats") {
-      cfg.satellites = static_cast<std::uint32_t>(std::stoul(value(i)));
+      cfg.satellites = parse_number<std::uint32_t>(a, value(i));
     } else if (a == "--planes") {
-      cfg.planes = static_cast<std::uint32_t>(std::stoul(value(i)));
+      cfg.planes = parse_number<std::uint32_t>(a, value(i));
     } else if (a == "--partitions") {
-      cfg.partitions = std::stoul(value(i));
+      cfg.partitions = parse_number<std::size_t>(a, value(i));
     } else if (a == "--waves") {
-      cfg.waves = static_cast<std::uint32_t>(std::stoul(value(i)));
+      cfg.waves = parse_number<std::uint32_t>(a, value(i));
     } else if (a == "--packets-per-wave") {
-      cfg.packets_per_wave = static_cast<std::uint32_t>(std::stoul(value(i)));
+      cfg.packets_per_wave = parse_number<std::uint32_t>(a, value(i));
     } else if (a == "--packet-bytes") {
-      cfg.packet_bytes = static_cast<std::uint32_t>(std::stoul(value(i)));
+      cfg.packet_bytes = parse_number<std::uint32_t>(a, value(i));
     } else if (a == "--message-segments") {
-      cfg.message_segments = static_cast<std::uint32_t>(std::stoul(value(i)));
+      cfg.message_segments = parse_number<std::uint32_t>(a, value(i));
     } else if (a == "--wave-interval-ms") {
-      cfg.wave_interval = Time::milliseconds(std::stol(value(i)));
+      cfg.wave_interval =
+          Time::milliseconds(parse_number<std::int64_t>(a, value(i)));
     } else if (a == "--horizon-s") {
-      cfg.horizon = Time::seconds(std::stod(value(i)));
+      cfg.horizon = Time::seconds(parse_number<double>(a, value(i)));
     } else if (a == "--max-range-km") {
-      cfg.max_range_m = std::stod(value(i)) * 1e3;
+      cfg.max_range_m = parse_number<double>(a, value(i)) * 1e3;
     } else if (a == "--seed") {
-      cfg.seed = std::stoull(value(i));
+      cfg.seed = parse_number<std::uint64_t>(a, value(i));
     } else if (a == "--pf") {
-      cfg.p_frame = std::stod(value(i));
+      cfg.p_frame = parse_probability(a, value(i));
     } else if (a == "--pc") {
-      cfg.p_control = std::stod(value(i));
+      cfg.p_control = parse_probability(a, value(i));
     } else if (a == "--observe") {
       cfg.observe = true;
     } else if (a == "--sample-ms") {
-      cfg.sample_period = Time::milliseconds(std::stol(value(i)));
+      cfg.sample_period =
+          Time::milliseconds(parse_number<std::int64_t>(a, value(i)));
       cfg.observe = true;
     } else if (a == "--metrics-out") {
       metrics_out = value(i);
