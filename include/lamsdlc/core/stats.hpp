@@ -87,9 +87,15 @@ class TimeWeightedStat {
 /// tables; samples are kept (8 bytes each), so use it where the sample count
 /// is bounded by the run, not by wall-clock — for unbounded streams prefer
 /// `Histogram`.
+///
+/// Reads are incremental: the vector keeps a sorted prefix, and a read
+/// sorts only the samples added since the last one and merges them in, so
+/// a live registry scraped periodically pays O(new·log new + n) per scrape
+/// instead of a full O(n·log n) re-sort.  The sorted vector is the same
+/// either way, so every quantile is too.
 class Percentiles {
  public:
-  void add(double x) { samples_.push_back(x); sorted_ = samples_.size() < 2; }
+  void add(double x) { samples_.push_back(x); }
 
   [[nodiscard]] std::size_t count() const noexcept { return samples_.size(); }
 
@@ -97,9 +103,11 @@ class Percentiles {
   /// (clamped so q=0 is the minimum and q=1 the maximum).  0.0 when empty.
   [[nodiscard]] double quantile(double q) const {
     if (samples_.empty()) return 0.0;
-    if (!sorted_) {
-      std::sort(samples_.begin(), samples_.end());
-      sorted_ = true;
+    if (sorted_ < samples_.size()) {
+      const auto mid = samples_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+      std::sort(mid, samples_.end());
+      std::inplace_merge(samples_.begin(), mid, samples_.end());
+      sorted_ = samples_.size();
     }
     const auto n = static_cast<double>(samples_.size());
     auto rank = static_cast<std::int64_t>(std::ceil(q * n));
@@ -115,7 +123,7 @@ class Percentiles {
 
  private:
   mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
+  mutable std::size_t sorted_ = 0;  ///< Length of the sorted prefix.
 };
 
 /// Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the edge

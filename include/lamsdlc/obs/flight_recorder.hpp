@@ -5,7 +5,7 @@
 /// Post-mortem capture (`capture.hpp`) answers "what happened" only when
 /// somebody thought to enable it *before* the incident.  A `FlightRecorder`
 /// closes that gap the way an aircraft black box does: it is an `EventBus`
-/// subscriber that keeps the most recent events in a fixed-size ring at
+/// subscriber that keeps the most recent events in a bounded ring at
 /// steady-state cost of one copy per event (no allocation, no I/O), and when
 /// an anomaly trigger fires it writes the ring — a valid `.ldlcap` v3 file —
 /// to disk, so `lamsdlc_cli trace --explain` works on a live incident that
@@ -41,8 +41,10 @@ namespace lamsdlc::obs {
 class FlightRecorder {
  public:
   struct Config {
-    /// Ring capacity in events.  4096 events ≈ 360 KB resident and, at the
-    /// daemon's event rates, several seconds of history around an anomaly.
+    /// Ring capacity in events.  The ring grows on demand up to this bound,
+    /// so a short session holds only the events it produced; full, 4096
+    /// events × 80 B = 320 KB and, at the daemon's event rates, several
+    /// seconds of history around an anomaly.
     std::size_t capacity = 4096;
     /// Auto-dump file prefix; the n-th dump writes
     /// `<prefix>-<n>.ldlcap`.  Empty disables auto-dumps (ring + manual
@@ -80,12 +82,12 @@ class FlightRecorder {
 
   /// \name Introspection
   /// @{
-  [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
-  [[nodiscard]] std::size_t held() const noexcept { return held_; }
+  [[nodiscard]] std::size_t capacity() const noexcept { return cfg_.capacity; }
+  [[nodiscard]] std::size_t held() const noexcept { return ring_.size(); }
   [[nodiscard]] std::uint64_t recorded() const noexcept { return recorded_; }
   /// Events overwritten because the ring was full.
   [[nodiscard]] std::uint64_t evicted() const noexcept {
-    return recorded_ - held_;
+    return recorded_ - ring_.size();
   }
   [[nodiscard]] std::uint32_t dumps() const noexcept { return dumps_; }
   /// Triggers that fired while rate-limited (no dump written).
@@ -99,9 +101,11 @@ class FlightRecorder {
 
  private:
   Config cfg_;
+  /// Grows to `cfg_.capacity`, then wraps.
   std::vector<Event> ring_;
-  std::size_t next_ = 0;  ///< Ring slot the next event lands in.
-  std::size_t held_ = 0;
+  /// Oldest held event once the ring is full (the slot the next event
+  /// overwrites); 0 while it is still growing.
+  std::size_t next_ = 0;
   std::uint64_t recorded_ = 0;
   std::uint32_t dumps_ = 0;
   std::uint64_t suppressed_ = 0;

@@ -32,7 +32,10 @@
 ///    itself (per-session metrics collectors into a shared registry, plus
 ///    an always-on flight recorder that auto-dumps a `.ldlcap` black box
 ///    when an anomaly trigger fires) is on by default and independent of
-///    whether the port is open.
+///    whether the port is open.  A session's telemetry lives as long as
+///    the protocol objects holding its bus, so finished sessions retire
+///    and the daemon's state tracks live work (docs/RUNTIME.md, "Session
+///    retirement").
 ///
 /// The daemon is single-threaded on a `WallClock` event loop; every socket
 /// is nonblocking and fd-driven.  `run()` blocks until `stop()`, SIGTERM

@@ -36,6 +36,17 @@
 /// old session had closed, the stale high-epoch receiver state is torn down
 /// and rebuilt fresh; if it was mid-flight, the epoch rules (PR 6) protect
 /// the numbering and the restarted peer's fresh session id takes over.
+///
+/// **Inbound retirement.**  An inbound stream that is out of session — its
+/// CLOSE was processed, or it was made by a stray non-INIT frame and never
+/// opened — is discarded after `inbound_linger()`:
+/// `(max_handshake_retries + 1) × init_retry + 2 × max_one_way`, the span in
+/// which the sender can still retransmit its CLOSE (340 ms at the
+/// defaults).  A CLOSE arriving after that lands on a fresh entry, which
+/// still ACKs it (the sender ends cleanly) and retires in turn, so the
+/// mux's state is bounded by live and lingering sessions, not by every
+/// session it has seen.  A stray-frame entry gets no event bus; an INIT
+/// replaces it with a fully observed receiver.
 
 #include <cstdint>
 #include <functional>
@@ -78,9 +89,13 @@ class SessionMux {
     /// for unknown sessions are counted in `unroutable()` and dropped.
     bool accept_inbound = true;
     /// Optional per-session event-bus factory (`sender_side` true for the
-    /// outbound half).  Returned buses must outlive the mux; return null
-    /// for "don't observe this one".
-    std::function<obs::EventBus*(std::uint32_t session_id, bool sender_side)>
+    /// outbound half); return null for "don't observe this one".  The mux
+    /// holds the returned bus for as long as that half's protocol objects
+    /// live — an outbound stream until `drop_stream`, an inbound one until
+    /// it retires — so the owner can free per-session telemetry when the
+    /// last reference goes.
+    std::function<std::shared_ptr<obs::EventBus>(std::uint32_t session_id,
+                                                 bool sender_side)>
         bus_for;
   };
 
@@ -163,6 +178,10 @@ class SessionMux {
 
   [[nodiscard]] const sim::DlcStats* inbound_stats(
       PeerId peer, std::uint32_t session_id) const;
+
+  /// How long an out-of-session inbound stream is kept before it retires
+  /// (file comment, "Inbound retirement").
+  [[nodiscard]] Time inbound_linger() const noexcept { return rx_linger_; }
   /// @}
 
   /// \name Status snapshots
@@ -270,6 +289,7 @@ class SessionMux {
   EventLoop& loop_;
   Transport& transport_;
   Config cfg_;
+  Time rx_linger_;
   std::unordered_map<std::uint32_t, std::unique_ptr<TxSession>> tx_;
   std::unordered_map<std::uint64_t, std::unique_ptr<RxSession>> rx_;
   StreamStateHandler on_stream_state_;

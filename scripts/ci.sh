@@ -20,7 +20,11 @@
 #   7. PDES identity smoke: one constellation run serial vs 4-way
 #      partitioned through the CLI — metrics JSON and capture bytes must be
 #      identical (gating).
-#   8. perf smoke (non-gating): kernel + frame-path + constellation network
+#   8. daemon soak (non-gating): 2000 sequential 16 KiB streams through
+#      one self-peer daemon beside a 20 Hz metrics scraper, printing RSS,
+#      scrape time, status size, live rings and inbound sessions every
+#      500 streams (the gating 300-stream version is a ctest).
+#   9. perf smoke (non-gating): kernel + frame-path + constellation network
 #      + live-telemetry workload rates, printed for trend watching; compare
 #      against BENCH_*.json by hand or with scripts/bench_baseline.sh.  Then
 #      the repository benchmark's own smoke tests (perfbench/).
@@ -186,6 +190,12 @@ cmp "$PDESDIR/c1.ldlcap" "$PDESDIR/c4.ldlcap"
 diff <(grep -v '^partitions' "$PDESDIR/r1.txt") \
      <(grep -v '^partitions' "$PDESDIR/r4.txt")
 echo "PDES@4 byte-identical to serial (metrics + capture + report)"
+
+echo "== daemon soak (non-gating, 2000 streams) =="
+# Finished sessions retire, so RSS, scrape time and the status document
+# should level off; a steady climb here is the regression to look for.
+timeout 600 python3 scripts/daemon_soak.py "$DAEMON" --streams 2000 \
+  --every 500 || echo "[warn] daemon soak failed (non-gating)"
 
 echo "== perf smoke (non-gating) =="
 # Timings on shared CI hosts are too noisy to gate on; print them so a

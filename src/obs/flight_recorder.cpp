@@ -1,5 +1,6 @@
 #include "lamsdlc/obs/flight_recorder.hpp"
 
+#include <algorithm>
 #include <fstream>
 
 #include "lamsdlc/obs/capture.hpp"
@@ -8,7 +9,6 @@ namespace lamsdlc::obs {
 
 FlightRecorder::FlightRecorder(Config cfg) : cfg_{std::move(cfg)} {
   if (cfg_.capacity == 0) cfg_.capacity = 1;
-  ring_.resize(cfg_.capacity);
 }
 
 bool FlightRecorder::is_anomaly(const Event& e) noexcept {
@@ -26,9 +26,17 @@ bool FlightRecorder::is_anomaly(const Event& e) noexcept {
 }
 
 void FlightRecorder::record(const Event& e) {
-  ring_[next_] = e;
-  next_ = next_ + 1 == ring_.size() ? 0 : next_ + 1;
-  if (held_ < ring_.size()) ++held_;
+  if (ring_.size() < cfg_.capacity) {
+    // Still filling: grow by doubling, but never past the capacity.
+    if (ring_.size() == ring_.capacity()) {
+      ring_.reserve(std::min(cfg_.capacity,
+                             std::max<std::size_t>(16, 2 * ring_.size())));
+    }
+    ring_.push_back(e);
+  } else {
+    ring_[next_] = e;
+    next_ = next_ + 1 == ring_.size() ? 0 : next_ + 1;
+  }
   ++recorded_;
 
   if (!is_anomaly(e) || cfg_.dump_prefix.empty()) return;
@@ -48,11 +56,9 @@ void FlightRecorder::record(const Event& e) {
 
 void FlightRecorder::dump(std::ostream& os) const {
   CaptureWriter writer{os};
-  // Oldest event first: with the ring full, that is the slot `next_` points
-  // at; otherwise the ring starts at slot 0.
-  const std::size_t start = held_ == ring_.size() ? next_ : 0;
-  for (std::size_t i = 0; i < held_; ++i) {
-    writer.write(ring_[(start + i) % ring_.size()]);
+  // Oldest event first: slot `next_` (slot 0 until the ring has wrapped).
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    writer.write(ring_[(next_ + i) % ring_.size()]);
   }
 }
 

@@ -11,8 +11,6 @@ constexpr int kPid = 1;
 constexpr int kSenderTid = static_cast<int>(Source::kLamsSender) + 1;
 constexpr int kReceiverTid = static_cast<int>(Source::kLamsReceiver) + 1;
 
-int tid_of(Source s) { return static_cast<int>(s) + 1; }
-
 /// Trace-event timestamps are microseconds; emit the picosecond remainder as
 /// fractional digits so nothing quantizes away.
 std::string ts_us(Time t) {

@@ -45,6 +45,47 @@ struct Daemon::Impl {
   DaemonConfig cfg;
   WallClock loop;
 
+  // ---------------------------------------------------------- telemetry --
+  // Declared before `mux`: the mux's streams hold the session buses, and
+  // releasing the last one (at the latest when the mux is destroyed)
+  // retires its telemetry into these.
+
+  /// Shared aggregation surface: one registry, fed by one collector per
+  /// session bus.  (Per-bus collectors, not one on a merged bus: a
+  /// collector correlates checkpoint sequence numbers and resync tokens,
+  /// which alias across sessions.)
+  obs::Registry registry;
+
+  /// Everything hanging off one session's event bus.  Owned jointly by the
+  /// protocol objects holding the bus — in self-peer mode the TX and RX
+  /// halves of one sid share it — and retired when the last one goes.
+  struct SessionTelemetry {
+    obs::EventBus bus;
+    std::unique_ptr<obs::MetricsCollector> collector;
+    std::unique_ptr<obs::FlightRecorder> recorder;
+    std::ofstream cap_file;
+    std::unique_ptr<obs::CaptureWriter> cap_writer;
+  };
+  /// Live sessions' telemetry, by sid (entries leave on retirement).
+  std::map<std::uint32_t, std::weak_ptr<SessionTelemetry>> sessions;
+
+  /// Flight-recorder totals of retired sessions, so the status `recorder`
+  /// block stays monotone while rings come and go.
+  struct RecorderTotals {
+    std::uint64_t recorded = 0;
+    std::uint64_t dumps = 0;
+    std::uint64_t suppressed = 0;
+    std::string last_dump;
+
+    void add(const obs::FlightRecorder& r) {
+      recorded += r.recorded();
+      dumps += r.dumps();
+      suppressed += r.suppressed_triggers();
+      if (!r.last_dump_path().empty()) last_dump = r.last_dump_path();
+    }
+  };
+  RecorderTotals retired;
+
   std::unique_ptr<UdpTransport> udp;
   std::unique_ptr<phy::FaultInjector> injector;
   std::unique_ptr<ImpairedTransport> impaired;
@@ -78,23 +119,6 @@ struct Daemon::Impl {
   };
   std::map<std::uint64_t, Delivery> deliveries;  // by rx_key(peer, sid)
 
-  // ---------------------------------------------------------- telemetry --
-  /// Shared aggregation surface: one registry, fed by one collector per
-  /// session bus.  (Per-bus collectors, not one on a merged bus: a
-  /// collector correlates checkpoint sequence numbers and resync tokens,
-  /// which alias across sessions.)
-  obs::Registry registry;
-
-  /// Everything hanging off one session's event bus.
-  struct SessionTelemetry {
-    obs::EventBus bus;
-    std::unique_ptr<obs::MetricsCollector> collector;
-    std::unique_ptr<obs::FlightRecorder> recorder;
-    std::ofstream cap_file;
-    std::unique_ptr<obs::CaptureWriter> cap_writer;
-  };
-  std::map<std::uint32_t, std::unique_ptr<SessionTelemetry>> sessions;  // sid
-
   // ------------------------------------------------------------- status --
   int status_listen_fd = -1;
   std::uint16_t status_port = 0;
@@ -113,12 +137,15 @@ struct Daemon::Impl {
     if (cfg.verbose) std::fprintf(stderr, "lamsdlcd: %s\n", line.c_str());
   }
 
-  obs::EventBus* bus_for(std::uint32_t sid) {
+  std::shared_ptr<obs::EventBus> bus_for(std::uint32_t sid) {
     const bool want_capture = !cfg.capture_prefix.empty();
     if (!want_capture && !cfg.telemetry) return nullptr;
-    auto it = sessions.find(sid);
-    if (it == sessions.end()) {
-      auto st = std::make_unique<SessionTelemetry>();
+    std::shared_ptr<SessionTelemetry> st;
+    if (const auto it = sessions.find(sid); it != sessions.end()) {
+      st = it->second.lock();  // live: its last holder erases the entry
+    } else {
+      st = {new SessionTelemetry,
+            [this, sid](SessionTelemetry* t) { retire(sid, t); }};
       if (cfg.telemetry) {
         st->collector =
             std::make_unique<obs::MetricsCollector>(st->bus, registry);
@@ -146,9 +173,25 @@ struct Daemon::Impl {
         }
       }
       if (!st->bus.enabled()) return nullptr;  // nothing attached after all
-      it = sessions.emplace(sid, std::move(st)).first;
+      sessions.emplace(sid, st);
     }
-    return &it->second->bus;
+    return {st, &st->bus};  // shares ownership of the whole telemetry
+  }
+
+  /// The last holder of a session's bus let go: fold its recorder counters
+  /// into the daemon totals, then free it (closing its capture file).
+  void retire(std::uint32_t sid, SessionTelemetry* st) {
+    if (st->recorder) retired.add(*st->recorder);
+    sessions.erase(sid);
+    delete st;
+  }
+
+  /// Flush every live session's capture file.
+  void flush_captures() {
+    for (const auto& [sid, weak] : sessions) {
+      const std::shared_ptr<SessionTelemetry> st = weak.lock();
+      if (st->cap_writer) st->cap_file.flush();
+    }
   }
 
   void start() {
@@ -604,25 +647,19 @@ struct Daemon::Impl {
     }
     os << ']';
 
-    std::uint64_t rec_recorded = 0;
-    std::uint64_t rec_dumps = 0;
-    std::uint64_t rec_suppressed = 0;
-    std::size_t rec_rings = 0;
-    std::string rec_last;
-    for (const auto& [sid, st] : sessions) {
+    // Daemon lifetime totals: retired sessions plus the live rings.
+    RecorderTotals rec = retired;
+    std::size_t rings = 0;
+    for (const auto& [sid, weak] : sessions) {
+      const std::shared_ptr<SessionTelemetry> st = weak.lock();
       if (!st->recorder) continue;
-      ++rec_rings;
-      rec_recorded += st->recorder->recorded();
-      rec_dumps += st->recorder->dumps();
-      rec_suppressed += st->recorder->suppressed_triggers();
-      if (!st->recorder->last_dump_path().empty()) {
-        rec_last = st->recorder->last_dump_path();
-      }
+      ++rings;
+      rec.add(*st->recorder);
     }
-    os << ",\"recorder\":{\"rings\":" << rec_rings
-       << ",\"recorded\":" << rec_recorded << ",\"dumps\":" << rec_dumps
-       << ",\"suppressed\":" << rec_suppressed << ",\"last_dump\":\""
-       << obs::json_escape(rec_last) << "\"}";
+    os << ",\"recorder\":{\"rings\":" << rings
+       << ",\"recorded\":" << rec.recorded << ",\"dumps\":" << rec.dumps
+       << ",\"suppressed\":" << rec.suppressed << ",\"last_dump\":\""
+       << obs::json_escape(rec.last_dump) << "\"}";
 
     os << ",\"registry\":";
     registry.write_json(os);
@@ -757,9 +794,7 @@ struct Daemon::Impl {
       ::close(status_listen_fd);
       status_listen_fd = -1;
     }
-    for (auto& [sid, st] : sessions) {
-      if (st->cap_writer) st->cap_file.flush();
-    }
+    flush_captures();
   }
 };
 
@@ -775,9 +810,7 @@ void Daemon::run() {
   impl_->loop.run();
   // Captures must be complete on disk the moment run() returns — callers
   // (tests, the smoke script) read them before the daemon is destroyed.
-  for (auto& [sid, st] : impl_->sessions) {
-    if (st->cap_writer) st->cap_file.flush();
-  }
+  impl_->flush_captures();
 }
 
 void Daemon::stop() { impl_->loop.stop(); }

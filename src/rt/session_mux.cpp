@@ -13,6 +13,7 @@ namespace lamsdlc::rt {
 // Per-stream state
 
 struct SessionMux::TxSession {
+  std::shared_ptr<obs::EventBus> bus;  ///< First member: outlives `sender`.
   NetChannel channel;
   sim::DlcStats stats;
   lams::SessionSender sender;
@@ -21,14 +22,16 @@ struct SessionMux::TxSession {
   std::size_t buffer_high_water = 0;
 
   TxSession(EventLoop& loop, Transport& t, const NetChannel::Config& ccfg,
-            const lams::SessionConfig& scfg, obs::EventBus* bus)
-      : channel{loop, t, ccfg},
-        sender{loop.sim(), channel, scfg, &stats, bus},
+            const lams::SessionConfig& scfg, std::shared_ptr<obs::EventBus> b)
+      : bus{std::move(b)},
+        channel{loop, t, ccfg},
+        sender{loop.sim(), channel, scfg, &stats, bus.get()},
         peer{ccfg.peer} {}
 };
 
 struct SessionMux::RxSession final : sim::PacketListener {
   SessionMux& mux;
+  std::shared_ptr<obs::EventBus> bus;  ///< Outlives `receiver`.
   PeerId peer;
   std::uint32_t sid;
   NetChannel channel;  ///< Feedback path (checkpoints, session ACKs).
@@ -38,18 +41,21 @@ struct SessionMux::RxSession final : sim::PacketListener {
   std::map<std::uint32_t, std::vector<std::uint8_t>> held;
   std::uint32_t next_index = 0;
   bool ended = false;
+  EventId retire_event = 0;  ///< Armed while out of session.
 
   RxSession(SessionMux& m, EventLoop& loop, Transport& t,
             const NetChannel::Config& ccfg, const lams::SessionConfig& scfg,
-            obs::EventBus* bus)
+            std::shared_ptr<obs::EventBus> b)
       : mux{m},
+        bus{std::move(b)},
         peer{ccfg.peer},
         sid{ccfg.session_id},
         channel{loop, t, ccfg},
-        receiver{loop.sim(), channel, scfg, this, &stats, bus} {
+        receiver{loop.sim(), channel, scfg, this, &stats, bus.get()} {
     receiver.set_lifecycle_callback(
         [this](bool in_session, std::uint32_t) { mux.end_rx(*this, in_session); });
   }
+  ~RxSession() override { mux.loop_.sim().cancel(retire_event); }
 
   void on_packet(const sim::Packet& p, Time) override {
     mux.on_rx_packet(*this, p);
@@ -59,7 +65,12 @@ struct SessionMux::RxSession final : sim::PacketListener {
 // ---------------------------------------------------------------------------
 
 SessionMux::SessionMux(EventLoop& loop, Transport& transport, Config cfg)
-    : loop_{loop}, transport_{transport}, cfg_{std::move(cfg)} {
+    : loop_{loop},
+      transport_{transport},
+      cfg_{std::move(cfg)},
+      rx_linger_{cfg_.session.init_retry *
+                     (cfg_.session.max_handshake_retries + 1) +
+                 cfg_.max_one_way * 2} {
   if (cfg_.decode_limits.seq_modulus == 0) {
     cfg_.decode_limits.seq_modulus = cfg_.session.lams.modulus;
   }
@@ -80,7 +91,7 @@ void SessionMux::open_stream(PeerId peer, std::uint32_t session_id) {
   ccfg.session_id = session_id;
   ccfg.peer = peer;
   ccfg.to_receiver = true;
-  obs::EventBus* bus =
+  std::shared_ptr<obs::EventBus> bus =
       cfg_.bus_for ? cfg_.bus_for(session_id, /*sender_side=*/true) : nullptr;
   lams::SessionConfig scfg = cfg_.session;
   if (scfg.lams.send_buffer_capacity ==
@@ -88,7 +99,8 @@ void SessionMux::open_stream(PeerId peer, std::uint32_t session_id) {
       cfg_.stream_buffer_packets > 0) {
     scfg.lams.send_buffer_capacity = cfg_.stream_buffer_packets;
   }
-  auto tx = std::make_unique<TxSession>(loop_, transport_, ccfg, scfg, bus);
+  auto tx = std::make_unique<TxSession>(loop_, transport_, ccfg, scfg,
+                                        std::move(bus));
   tx->sender.set_state_callback(
       [this, session_id](lams::SessionSender::State s) {
         if (on_stream_state_) on_stream_state_(session_id, s);
@@ -262,6 +274,8 @@ void SessionMux::end_rx(RxSession& rx, bool in_session_now) {
     // INIT (first, re-INIT, or RESYNC epoch bump): the byte stream
     // continues — reassembly state must survive a resynchronization.
     rx.ended = false;
+    loop_.sim().cancel(rx.retire_event);
+    rx.retire_event = 0;
     return;
   }
   // CLOSE: every chunk below next_index was handed up contiguously; any
@@ -305,19 +319,26 @@ void SessionMux::route_to_receiver(PeerId peer, std::uint32_t sid,
                                    bool is_data) {
   const std::uint64_t key = rx_key(peer, sid);
   auto it = rx_.find(key);
+  const auto* session = f.corrupted
+                            ? nullptr
+                            : std::get_if<frame::SessionFrame>(&f.body);
+  const bool init = session != nullptr &&
+                    session->kind == frame::SessionFrame::Kind::kInit;
 
   // Peer restart / session-id reuse: a *fresh* initiator starts over at a
   // low epoch.  If our old receiver state is closed, tear it down so the
   // new INIT is judged against a clean epoch history instead of being
-  // discarded as stale.
-  if (it != rx_.end() && !f.corrupted) {
-    if (const auto* s = std::get_if<frame::SessionFrame>(&f.body)) {
-      if (s->kind == frame::SessionFrame::Kind::kInit &&
-          !it->second->receiver.in_session() &&
-          s->epoch <= it->second->receiver.epoch()) {
-        rx_.erase(it);
-        it = rx_.end();
-      }
+  // discarded as stale.  A stray-frame entry that never opened is replaced
+  // too, so the session gets an observed receiver.  The old entry lives
+  // until its successor is built, so a shared event bus carries over.
+  std::unique_ptr<RxSession> replaced;
+  if (it != rx_.end() && init) {
+    const lams::SessionReceiver& old = it->second->receiver;
+    if (!old.in_session() &&
+        (session->epoch <= old.epoch() || old.inits_accepted() == 0)) {
+      replaced = std::move(it->second);
+      rx_.erase(it);
+      it = rx_.end();
     }
   }
 
@@ -332,11 +353,12 @@ void SessionMux::route_to_receiver(PeerId peer, std::uint32_t sid,
     ccfg.session_id = sid;
     ccfg.peer = peer;
     ccfg.to_receiver = false;  // our replies travel the feedback direction
-    obs::EventBus* bus =
-        cfg_.bus_for ? cfg_.bus_for(sid, /*sender_side=*/false) : nullptr;
+    std::shared_ptr<obs::EventBus> bus =
+        init && cfg_.bus_for ? cfg_.bus_for(sid, /*sender_side=*/false)
+                             : nullptr;
     it = rx_.emplace(key, std::make_unique<RxSession>(
                               *this, loop_, transport_, ccfg, cfg_.session,
-                              bus))
+                              std::move(bus)))
              .first;
   }
 
@@ -346,7 +368,17 @@ void SessionMux::route_to_receiver(PeerId peer, std::uint32_t sid,
       i->packet_id = packet_id;
     }
   }
-  it->second->receiver.on_frame(std::move(f));
+  RxSession& rx = *it->second;
+  rx.receiver.on_frame(std::move(f));
+  if (!rx.receiver.in_session() && rx.retire_event == 0) {
+    rx.retire_event = loop_.sim().schedule_in(rx_linger_, [this, key] {
+      // Cancelled when the entry re-opens or is replaced, so the entry
+      // under `key` is the out-of-session one that armed it.
+      const auto rit = rx_.find(key);
+      rit->second->retire_event = 0;  // firing now; nothing to cancel
+      rx_.erase(rit);
+    });
+  }
 }
 
 void SessionMux::route_to_sender(std::uint32_t sid, frame::Frame f) {

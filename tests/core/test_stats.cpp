@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
+#include "lamsdlc/core/random.hpp"
+#include "support/seed_trace.hpp"
+
 namespace lamsdlc {
 namespace {
 
@@ -127,6 +134,44 @@ TEST(Percentiles, InterleavedAddAndQuery) {
   p.add(3.0);
   EXPECT_DOUBLE_EQ(p.p50(), 3.0);  // ceil(0.5*3) = rank 2 of {1,3,5}
   EXPECT_DOUBLE_EQ(p.max(), 5.0);
+}
+
+TEST(Percentiles, RandomInterleavingMatchesAFreshSortEveryRead) {
+  // Reads merge only the samples added since the last read into the sorted
+  // prefix; every quantile must equal the one a full sort of all samples
+  // gives.  Batches of 0..40 adds (duplicates and negatives included)
+  // between reads exercise empty, tiny and large tails.
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    LAMSDLC_SEED_TRACE(seed);
+    RandomStream rng{seed, "percentiles.property"};
+    Percentiles p;
+    std::vector<double> all;
+    for (int round = 0; round < 60; ++round) {
+      const auto adds = rng.uniform_int(0, 40);
+      for (std::int64_t i = 0; i < adds; ++i) {
+        const double x =
+            rng.bernoulli(0.2)
+                ? static_cast<double>(rng.uniform_int(0, 5))
+                : rng.uniform(-1000.0, 1000.0);
+        p.add(x);
+        all.push_back(x);
+      }
+      std::vector<double> sorted = all;
+      std::sort(sorted.begin(), sorted.end());
+      ASSERT_EQ(p.count(), sorted.size());
+      for (const double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0}) {
+        const double expect =
+            sorted.empty()
+                ? 0.0
+                : sorted[static_cast<std::size_t>(std::clamp<std::int64_t>(
+                             static_cast<std::int64_t>(std::ceil(
+                                 q * static_cast<double>(sorted.size()))),
+                             1, static_cast<std::int64_t>(sorted.size()))) -
+                         1];
+        ASSERT_EQ(p.quantile(q), expect) << "q=" << q << " round " << round;
+      }
+    }
+  }
 }
 
 TEST(Histogram, BinningAndTotal) {

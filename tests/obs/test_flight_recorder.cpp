@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -61,6 +62,50 @@ TEST(FlightRecorder, RingWrapsKeepingNewestOldestFirst) {
   for (std::size_t i = 0; i < out->size(); ++i) {
     EXPECT_EQ((*out)[i].p.nak.ctr, 12 + i) << "slot " << i;
   }
+}
+
+/// The bytes a `CaptureWriter` writes for \p events, in order.
+std::string capture_bytes(const std::vector<Event>& events) {
+  std::stringstream ss;
+  CaptureWriter w{ss};
+  for (const Event& e : events) w.write(e);
+  return ss.str();
+}
+
+// The ring grows on demand: while it fills, a dump holds every event so
+// far; once it wraps, a dump holds the newest `capacity` events.  Either
+// way the bytes are exactly what a CaptureWriter writes for those events.
+TEST(FlightRecorder, GrowingRingWrapsAndDumpsTheNewestCapacityEvents) {
+  constexpr std::size_t kCapacity = 100;  // not a power of two
+  FlightRecorder::Config cfg;
+  cfg.capacity = kCapacity;
+  FlightRecorder rec{cfg};
+  EXPECT_EQ(rec.capacity(), kCapacity);
+  EXPECT_EQ(rec.held(), 0u);
+
+  std::vector<Event> all;
+  const auto dump_bytes = [&] {
+    std::stringstream ss;
+    rec.dump(ss);
+    return ss.str();
+  };
+  for (std::uint64_t i = 0; i < 3 * kCapacity + 17; ++i) {
+    const auto at = Time::microseconds(static_cast<std::int64_t>(7 * i));
+    all.push_back(nak_event(i, at));
+    rec.record(all.back());
+    const std::size_t held = std::min(all.size(), kCapacity);
+    ASSERT_EQ(rec.held(), held);
+    if (i % 23 == 0 || all.size() == kCapacity ||
+        all.size() == kCapacity + 1) {
+      const std::vector<Event> newest(
+          all.end() - static_cast<std::ptrdiff_t>(held), all.end());
+      ASSERT_EQ(dump_bytes(), capture_bytes(newest)) << "after " << all.size();
+    }
+  }
+  EXPECT_EQ(rec.recorded(), all.size());
+  EXPECT_EQ(rec.evicted(), all.size() - kCapacity);
+  const std::vector<Event> newest(all.end() - kCapacity, all.end());
+  EXPECT_EQ(dump_bytes(), capture_bytes(newest));
 }
 
 TEST(FlightRecorder, IsAnomalyMatchesExactlyTheBlackBoxTriggers) {

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -30,6 +31,42 @@ namespace fs = std::filesystem;
 std::vector<std::uint8_t> read_file(const fs::path& p) {
   std::ifstream in{p, std::ios::binary};
   return {std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
+}
+
+/// One bridge stream: connect, write \p payload flat out, half-close, and
+/// return the daemon's status line ("OK <n>\n" / "ERR ...").
+std::string bridge_send(std::uint16_t port,
+                        const std::vector<std::uint8_t>& payload) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+      0) {
+    ::close(fd);
+    return "connect-failed";
+  }
+  std::size_t off = 0;
+  while (off < payload.size()) {
+    const ssize_t n = ::write(fd, payload.data() + off, payload.size() - off);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      ::close(fd);
+      return "write-failed";
+    }
+    off += static_cast<std::size_t>(n);
+  }
+  ::shutdown(fd, SHUT_WR);
+  std::string status;
+  char buf[64];
+  for (;;) {
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n <= 0) break;
+    status.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return status;
 }
 
 TEST(Daemon, SelfPeerStreamDeliversByteExactOverRealUdp) {
@@ -152,39 +189,8 @@ TEST(Daemon, FastBridgeClientOverSlowLinkKeepsBufferBounded) {
   // The client writes flat out; the kernel's TCP window is the only thing
   // slowing it down once the daemon stops reading.
   std::string status;
-  std::thread client{[&] {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(daemon.bridge_port());
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof addr) != 0) {
-      status = "connect-failed";
-      ::close(fd);
-      return;
-    }
-    std::size_t off = 0;
-    while (off < payload.size()) {
-      const ssize_t n =
-          ::write(fd, payload.data() + off, payload.size() - off);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        status = "write-failed";
-        ::close(fd);
-        return;
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    ::shutdown(fd, SHUT_WR);
-    char buf[64];
-    for (;;) {
-      const ssize_t n = ::read(fd, buf, sizeof buf);
-      if (n <= 0) break;
-      status.append(buf, static_cast<std::size_t>(n));
-    }
-    ::close(fd);
-  }};
+  std::thread client{
+      [&] { status = bridge_send(daemon.bridge_port(), payload); }};
 
   // The high-water mark lives in the mux and dies with drop_stream, so
   // sample it from inside the loop while the stream is alive.
@@ -354,6 +360,125 @@ TEST(Daemon, StatusEndpointServesUntornMonotoneSnapshotsMidTransfer) {
   EXPECT_TRUE(braces_balanced(final_doc));
   EXPECT_EQ(json_int_after(final_doc, "streams_completed"), 2);
   EXPECT_NE(final_doc.find("\"recorder\":"), std::string::npos);
+}
+
+/// Occurrences of \p needle in \p doc.
+std::size_t count_of(const std::string& doc, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto pos = doc.find(needle); pos != std::string::npos;
+       pos = doc.find(needle, pos + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+// Soak: hundreds of sequential bridge streams through a self-peer daemon
+// while a `metrics` scraper runs.  Finished sessions retire — their rings,
+// inbound receivers and status entries go — so once the linger has passed,
+// what the daemon holds is set by live sessions, not by how many finished,
+// and the status document stops growing.  The recorder totals and the
+// finished-stream count stay monotone across retirements.
+TEST(Daemon, SoakOfSequentialStreamsKeepsSessionStateBounded) {
+  constexpr int kStreams = 300;
+  constexpr int kSnapshotEvery = 50;
+  constexpr int kSettleAt = 100;  // first bounded-state check
+
+  rt::DaemonConfig cfg;
+  cfg.self_peer = true;
+  cfg.bridge = true;
+  cfg.status = true;
+  cfg.session_base = 20000;
+
+  rt::Daemon daemon{cfg};
+  daemon.start();
+  const std::uint16_t status_port = daemon.status_port();
+  // Past the linger (with margin), every finished session has retired.
+  const auto settle = std::chrono::microseconds(
+      static_cast<std::int64_t>(daemon.mux().inbound_linger().us() * 2));
+  std::thread loop{[&] { daemon.run(); }};
+
+  std::atomic<bool> done{false};
+  std::atomic<int> scrapes{0};
+  std::thread scraper{[&] {  // about 50 Hz
+    while (!done.load()) {
+      if (status_request(status_port, "metrics").find("# TYPE lamsdlc_") !=
+          std::string::npos) {
+        ++scrapes;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  }};
+
+  struct Snap {
+    long long completed, rings, recorded, dumps;
+    std::size_t bytes, sessions_in, sessions_out;
+  };
+  const auto snap = [&] {
+    const std::string doc = status_request(status_port, "status");
+    EXPECT_TRUE(braces_balanced(doc));
+    return Snap{json_int_after(doc, "streams_completed"),
+                json_int_after(doc, "rings"),
+                json_int_after(doc, "recorded"),
+                json_int_after(doc, "dumps"),
+                doc.size(),
+                count_of(doc, "\"in_session\":"),
+                count_of(doc, "\"outstanding\":")};
+  };
+
+  std::vector<std::uint8_t> payload(16 * 1024);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 29 + 5);
+  }
+  std::vector<Snap> snaps;
+  Snap settled_early{};
+  int ok = 0;
+  for (int i = 1; i <= kStreams; ++i) {
+    if (bridge_send(daemon.bridge_port(), payload) ==
+        "OK " + std::to_string(payload.size()) + "\n") {
+      ++ok;
+    }
+    if (i % kSnapshotEvery == 0) snaps.push_back(snap());
+    if (i == kSettleAt) {
+      std::this_thread::sleep_for(settle);
+      settled_early = snap();
+    }
+  }
+  std::this_thread::sleep_for(settle);
+  const Snap settled = snap();
+  done.store(true);
+  scraper.join();
+  daemon.stop();
+  (void)status_request(status_port, "status");  // wake the loop to stop
+  loop.join();
+
+  EXPECT_EQ(ok, kStreams);
+  EXPECT_GT(scrapes.load(), 0);
+  EXPECT_EQ(daemon.streams_completed(), 2u * kStreams);  // both halves
+  EXPECT_EQ(daemon.streams_failed(), 0u);
+
+  // Monotone across retirements.
+  snaps.push_back(settled);
+  for (std::size_t i = 1; i < snaps.size(); ++i) {
+    EXPECT_GE(snaps[i].completed, snaps[i - 1].completed) << "snapshot " << i;
+    EXPECT_GE(snaps[i].recorded, snaps[i - 1].recorded) << "snapshot " << i;
+    EXPECT_GE(snaps[i].dumps, snaps[i - 1].dumps) << "snapshot " << i;
+  }
+  EXPECT_EQ(settled.completed, 2 * kStreams);
+  EXPECT_GT(settled.recorded, 0) << "retired rings' events were dropped";
+
+  // Bounded by live sessions (none, once settled), at 100 and at 300
+  // finished streams alike.
+  for (const Snap& s : {settled_early, settled}) {
+    EXPECT_LE(s.rings, 1);
+    EXPECT_LE(s.sessions_in, 1u);
+    EXPECT_LE(s.sessions_out, 1u);
+  }
+  // Three times the finished streams, the same document: only counter and
+  // quantile digits may differ (each retained session entry would add
+  // hundreds of bytes).
+  EXPECT_LE(settled.bytes, settled_early.bytes + 512)
+      << "status grew from " << settled_early.bytes << " to "
+      << settled.bytes << " bytes";
 }
 
 // Unknown verbs get a one-line error, not a hang or a close without bytes.

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "lamsdlc/core/random.hpp"
+#include "lamsdlc/frame/codec.hpp"
+#include "lamsdlc/frame/envelope.hpp"
 #include "lamsdlc/phy/fault_injector.hpp"
 #include "lamsdlc/rt/event_loop.hpp"
 #include "lamsdlc/rt/session_mux.hpp"
@@ -32,15 +35,39 @@ std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t salt = 0) {
 struct Sink {
   std::map<std::uint64_t, std::vector<std::uint8_t>> data;
   std::map<std::uint64_t, bool> clean;
+  /// Retirement probes, taken when a stream ends: whether the mux still
+  /// held the stream just before `inbound_linger()` expired, and whether it
+  /// was gone just after.
+  std::map<std::uint64_t, bool> held_in_linger;
+  std::map<std::uint64_t, bool> gone_after_linger;
 
-  void attach(SessionMux& mux) {
+  void attach(SessionMux& mux, SimClock& loop) {
     mux.set_inbound_data_handler(
         [this](PeerId p, std::uint32_t sid, std::span<const std::uint8_t> b) {
           auto& d = data[key(p, sid)];
           d.insert(d.end(), b.begin(), b.end());
         });
     mux.set_inbound_end_handler(
-        [this](PeerId p, std::uint32_t sid, bool c) { clean[key(p, sid)] = c; });
+        [this, &mux, &loop](PeerId p, std::uint32_t sid, bool c) {
+          const std::uint64_t k = key(p, sid);
+          clean[k] = c;
+          const Time linger = mux.inbound_linger();
+          const Time probe = Time::microseconds(1);
+          loop.sim().schedule_in(linger - probe, [this, &mux, p, sid, k] {
+            held_in_linger[k] = mux.inbound_stats(p, sid) != nullptr;
+          });
+          loop.sim().schedule_in(linger + probe, [this, &mux, p, sid, k] {
+            gone_after_linger[k] = mux.inbound_stats(p, sid) == nullptr;
+          });
+        });
+  }
+
+  /// The stream ended cleanly, lingered, then retired.
+  void expect_retired(std::uint64_t k) const {
+    ASSERT_TRUE(held_in_linger.contains(k)) << "stream never ended";
+    EXPECT_TRUE(held_in_linger.at(k)) << "retired before the linger expired";
+    ASSERT_TRUE(gone_after_linger.contains(k));
+    EXPECT_TRUE(gone_after_linger.at(k)) << "still held after the linger";
   }
 
   static std::uint64_t key(PeerId p, std::uint32_t sid) {
@@ -61,7 +88,7 @@ TEST(SessionMux, StreamRoundTripIsByteExact) {
   SessionMux ma{loop, *ta, mux_config()};
   SessionMux mb{loop, *tb, mux_config()};
   Sink sink;
-  sink.attach(mb);
+  sink.attach(mb, loop);
 
   bool closed = false;
   ma.set_stream_state_handler(
@@ -79,7 +106,12 @@ TEST(SessionMux, StreamRoundTripIsByteExact) {
   ASSERT_TRUE(sink.clean.contains(Sink::key(0, 42)));
   EXPECT_TRUE(sink.clean.at(Sink::key(0, 42)));
   EXPECT_EQ(sink.data.at(Sink::key(0, 42)), payload);
-  EXPECT_EQ(mb.inbound_count(), 1u);
+  // The finished receiver lingers for late CLOSE retransmissions, then
+  // retires: the mux holds live sessions, not every session it has seen.
+  EXPECT_EQ(mb.inbound_linger(), Time::milliseconds(11 * 30) +
+                                     Time::microseconds(2 * 500));
+  sink.expect_retired(Sink::key(0, 42));
+  EXPECT_EQ(mb.inbound_count(), 0u);
   EXPECT_EQ(ma.undecodable(), 0u);
 }
 
@@ -89,7 +121,7 @@ TEST(SessionMux, TwoConcurrentStreamsShareOneTransport) {
   SessionMux ma{loop, *ta, mux_config()};
   SessionMux mb{loop, *tb, mux_config()};
   Sink sink;
-  sink.attach(mb);
+  sink.attach(mb, loop);
 
   const auto p1 = pattern(5000, 1);
   const auto p2 = pattern(7000, 2);
@@ -108,7 +140,9 @@ TEST(SessionMux, TwoConcurrentStreamsShareOneTransport) {
   EXPECT_EQ(sink.data.at(Sink::key(0, 2)), p2);
   EXPECT_TRUE(sink.clean.at(Sink::key(0, 1)));
   EXPECT_TRUE(sink.clean.at(Sink::key(0, 2)));
-  EXPECT_EQ(mb.inbound_count(), 2u);
+  sink.expect_retired(Sink::key(0, 1));
+  sink.expect_retired(Sink::key(0, 2));
+  EXPECT_EQ(mb.inbound_count(), 0u);
 }
 
 TEST(SessionMux, SameSessionIdInBothDirectionsStaysSeparate) {
@@ -119,8 +153,8 @@ TEST(SessionMux, SameSessionIdInBothDirectionsStaysSeparate) {
   SessionMux ma{loop, *ta, mux_config()};
   SessionMux mb{loop, *tb, mux_config()};
   Sink sink_a, sink_b;
-  sink_a.attach(ma);
-  sink_b.attach(mb);
+  sink_a.attach(ma, loop);
+  sink_b.attach(mb, loop);
 
   const auto pa = pattern(4000, 3);  // a -> b
   const auto pb = pattern(6000, 4);  // b -> a
@@ -153,7 +187,7 @@ TEST(SessionMux, RecoversByteExactUnderLossAndCorruption) {
   SessionMux ma{loop, wire, mux_config()};
   SessionMux mb{loop, *tb, mux_config()};
   Sink sink;
-  sink.attach(mb);
+  sink.attach(mb, loop);
 
   bool closed = false;
   ma.set_stream_state_handler(
@@ -201,7 +235,7 @@ TEST(SessionMux, PeerRestartWithLowEpochReplacesClosedReceiver) {
   auto [ta, tb] = LoopbackTransport::make_pair(loop, Time::microseconds(100));
   SessionMux mb{loop, *tb, mux_config()};
   Sink sink;
-  sink.attach(mb);
+  sink.attach(mb, loop);
 
   const auto round1 = pattern(1000, 6);
   {
@@ -209,12 +243,19 @@ TEST(SessionMux, PeerRestartWithLowEpochReplacesClosedReceiver) {
     ma.open_stream(0, 5);
     ma.stream_write(5, round1);
     ma.stream_close(5);
-    loop.sim().run_until(Time::seconds(10));
+    while (!sink.clean.contains(Sink::key(0, 5)) &&
+           loop.now() < Time::seconds(10)) {
+      loop.sim().run_until(loop.now() + Time::milliseconds(1));
+    }
     ASSERT_EQ(sink.data.at(Sink::key(0, 5)), round1);
   }
+  // The restart lands inside the closed receiver's linger, so the INIT
+  // meets the stale state instead of a retired slot.
+  ASSERT_EQ(mb.inbound_count(), 1u);
 
   // "Restart": a fresh mux reuses session id 5 from epoch 1.  The receiver
-  // side must tear down the stale closed state and accept the new INIT.
+  // side must tear down the stale closed state and accept the new INIT
+  // (the kept one would drop round 2's chunks as duplicates of round 1's).
   const auto round2 = pattern(1500, 7);
   SessionMux ma2{loop, *ta, mux_config()};
   ma2.open_stream(0, 5);
@@ -227,6 +268,93 @@ TEST(SessionMux, PeerRestartWithLowEpochReplacesClosedReceiver) {
   expect.insert(expect.end(), round2.begin(), round2.end());
   EXPECT_EQ(sink.data.at(Sink::key(0, 5)), expect);
   EXPECT_TRUE(sink.clean.at(Sink::key(0, 5)));
+  sink.expect_retired(Sink::key(0, 5));
+}
+
+// A CLOSE for a session the mux no longer holds (its sender retransmitted
+// past the linger) lands on a fresh entry: it is still ACKed, so the sender
+// ends cleanly, and the entry — which never opened — retires in turn.
+TEST(SessionMux, LateCloseIsAckedAndItsEntryRetires) {
+  SimClock loop;
+  auto [ta, tb] = LoopbackTransport::make_pair(loop, Time::microseconds(100));
+  SessionMux mb{loop, *tb, mux_config()};
+  std::vector<frame::Frame> replies;
+  ta->set_recv_handler([&](PeerId, std::span<const std::uint8_t> bytes) {
+    const auto env = frame::decode_envelope(bytes);
+    ASSERT_TRUE(env.has_value());
+    EXPECT_FALSE(env->to_receiver);
+    EXPECT_EQ(env->session_id, 31u);
+    auto f = frame::decode(env->payload);
+    ASSERT_TRUE(f.has_value());
+    replies.push_back(std::move(*f));
+  });
+
+  frame::Frame close;
+  close.body = frame::SessionFrame{frame::SessionFrame::Kind::kClose, 4};
+  frame::Envelope env;
+  env.session_id = 31;
+  env.to_receiver = true;
+  env.payload = frame::encode(close);
+  ASSERT_TRUE(ta->send(0, frame::encode_envelope(env)));
+
+  loop.sim().run_until(mb.inbound_linger());
+  EXPECT_EQ(mb.inbound_count(), 1u) << "entry lingers like a closed one";
+  ASSERT_EQ(replies.size(), 1u);
+  const auto* ack = std::get_if<frame::SessionFrame>(&replies[0].body);
+  ASSERT_NE(ack, nullptr);
+  EXPECT_EQ(ack->kind, frame::SessionFrame::Kind::kCloseAck);
+  EXPECT_EQ(ack->epoch, 4u);
+
+  loop.sim().run_until(mb.inbound_linger() + Time::milliseconds(1));
+  EXPECT_EQ(mb.inbound_count(), 0u);
+}
+
+// An entry made by a stray frame never opened and holds no event bus; an
+// INIT inside its linger replaces it with an observed receiver, and the
+// mux lets go of that bus once the stream has closed and retired.
+TEST(SessionMux, InitReplacesStrayEntryWithObservedReceiverAndReleasesItsBus) {
+  SimClock loop;
+  auto [ta, tb] = LoopbackTransport::make_pair(loop, Time::microseconds(100));
+  std::vector<std::weak_ptr<obs::EventBus>> buses;
+  std::size_t events = 0;
+  SessionMux::Config observed = mux_config();
+  observed.bus_for = [&](std::uint32_t, bool sender_side) {
+    EXPECT_FALSE(sender_side);
+    auto bus = std::make_shared<obs::EventBus>();
+    bus->subscribe([&](const obs::Event&) { ++events; });
+    buses.push_back(bus);
+    return bus;
+  };
+  SessionMux mb{loop, *tb, observed};
+  Sink sink;
+  sink.attach(mb, loop);
+
+  // A stray CLOSE for session 12 makes a bus-less entry.
+  frame::Frame close;
+  close.body = frame::SessionFrame{frame::SessionFrame::Kind::kClose, 9};
+  frame::Envelope env;
+  env.session_id = 12;
+  env.to_receiver = true;
+  env.payload = frame::encode(close);
+  ASSERT_TRUE(ta->send(0, frame::encode_envelope(env)));
+  loop.sim().run_until(Time::milliseconds(1));
+  ASSERT_EQ(mb.inbound_count(), 1u);
+  EXPECT_TRUE(buses.empty()) << "a stray frame must not open telemetry";
+
+  // The real stream opens inside that entry's linger.
+  SessionMux ma{loop, *ta, mux_config()};
+  const auto payload = pattern(3000, 8);
+  ma.open_stream(0, 12);
+  ma.stream_write(12, payload);
+  ma.stream_close(12);
+  loop.sim().run_until(Time::seconds(5));
+
+  EXPECT_EQ(sink.data.at(Sink::key(0, 12)), payload);
+  EXPECT_TRUE(sink.clean.at(Sink::key(0, 12)));
+  ASSERT_EQ(buses.size(), 1u);
+  EXPECT_GT(events, 0u) << "the session ran on the bus-less stray entry";
+  sink.expect_retired(Sink::key(0, 12));
+  EXPECT_TRUE(buses[0].expired()) << "retired stream still holds its bus";
 }
 
 }  // namespace
