@@ -13,11 +13,15 @@
 /// callable still works.
 ///
 /// The type-erasure is a three-entry ops table (invoke / relocate /
-/// destroy); relocation is what the binary heap pays per sift swap, so
-/// inline targets relocate with their own move constructor and heap targets
-/// with a pointer copy.
+/// destroy); relocation is what the kernel pays to move an event into its
+/// slot and out again to fire it.  A target that is trivially copyable and
+/// destructible (the usual `this` + integers capture) and a heap target's
+/// pointer relocate by a plain copy of the buffer with nothing to destroy,
+/// so their null table entries spare the indirect calls; other inline
+/// targets relocate with their own move constructor.
 
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -48,7 +52,7 @@ class InlineFunction {
 
   InlineFunction(InlineFunction&& o) noexcept : ops_{o.ops_} {
     if (ops_ != nullptr) {
-      ops_->relocate(buf_, o.buf_);
+      relocate_from(o);
       o.ops_ = nullptr;
     }
   }
@@ -58,7 +62,7 @@ class InlineFunction {
       reset();
       ops_ = o.ops_;
       if (ops_ != nullptr) {
-        ops_->relocate(buf_, o.buf_);
+        relocate_from(o);
         o.ops_ = nullptr;
       }
     }
@@ -89,9 +93,9 @@ class InlineFunction {
   struct Ops {
     void (*invoke)(void*);
     /// Move-construct the target from `src` storage into `dst` storage and
-    /// destroy the source — one heap-sift swap step.
-    void (*relocate)(void* dst, void* src) noexcept;
-    void (*destroy)(void*) noexcept;
+    /// destroy the source (an event moving into or out of its slot).
+    void (*relocate)(void* dst, void* src) noexcept;  ///< Null: copy bytes.
+    void (*destroy)(void*) noexcept;                   ///< Null: no-op.
     bool inline_storage;
   };
 
@@ -102,30 +106,56 @@ class InlineFunction {
   }
 
   template <typename T>
+  static constexpr bool trivial() {
+    return std::is_trivially_copyable_v<T> &&
+           std::is_trivially_destructible_v<T>;
+  }
+
+  template <typename T>
   static constexpr Ops inline_ops = {
       [](void* p) { (*std::launder(reinterpret_cast<T*>(p)))(); },
-      [](void* dst, void* src) noexcept {
-        T* s = std::launder(reinterpret_cast<T*>(src));
-        ::new (dst) T(std::move(*s));
-        s->~T();
-      },
-      [](void* p) noexcept { std::launder(reinterpret_cast<T*>(p))->~T(); },
+      trivial<T>() ? nullptr
+                   : +[](void* dst, void* src) noexcept {
+                       T* s = std::launder(reinterpret_cast<T*>(src));
+                       ::new (dst) T(std::move(*s));
+                       s->~T();
+                     },
+      trivial<T>() ? nullptr
+                   : +[](void* p) noexcept {
+                       std::launder(reinterpret_cast<T*>(p))->~T();
+                     },
       true,
   };
 
   template <typename T>
   static constexpr Ops heap_ops = {
       [](void* p) { (**std::launder(reinterpret_cast<T**>(p)))(); },
-      [](void* dst, void* src) noexcept {
-        ::new (dst) T*(*std::launder(reinterpret_cast<T**>(src)));
-      },
+      nullptr,  // the buffer holds just the pointer
       [](void* p) noexcept { delete *std::launder(reinterpret_cast<T**>(p)); },
       false,
   };
 
+  void relocate_from(InlineFunction& o) noexcept {
+    if (ops_->relocate != nullptr) {
+      ops_->relocate(buf_, o.buf_);
+    } else {
+      // The whole buffer, so the copy is a fixed handful of moves; bytes
+      // past the target's size are unused and may be indeterminate.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+      std::memcpy(buf_, o.buf_, SboBytes);
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+    }
+  }
+
   void reset() noexcept {
     if (ops_ != nullptr) {
-      ops_->destroy(buf_);
+      if (ops_->destroy != nullptr) ops_->destroy(buf_);
       ops_ = nullptr;
     }
   }

@@ -32,9 +32,16 @@ class RandomStream {
     return uniform() < p;
   }
 
-  /// Uniform double in [0, 1).
+  /// Uniform double in [0, 1): bit for bit what
+  /// `std::generate_canonical<double, 53>` returns for this 64-bit engine
+  /// (one draw, rounded to double, divided by 2^64 — an exact scaling — and
+  /// pulled below 1 when it rounds up to it), minus the long-double
+  /// arithmetic the generic template pays on every call.
   [[nodiscard]] double uniform() {
-    return std::generate_canonical<double, 53>(engine_);
+    static_assert(std::mt19937_64::min() == 0 &&
+                  std::mt19937_64::max() == ~std::uint64_t{0});
+    const double u = static_cast<double>(engine_()) * 0x1p-64;
+    return u < 1.0 ? u : 0x1.fffffffffffffp-1;  // nextafter(1.0, 0.0)
   }
 
   /// Uniform double in [lo, hi).

@@ -268,6 +268,8 @@ class Simulator {
   void enqueue(const Entry& e);
   void push_entry(const Entry& e);
   void sift_down(std::size_t hole, Entry e) noexcept;
+  /// Remove the heap top and insert \p e in one pass.
+  void replace_top(Entry e) noexcept;
   void pop_top() noexcept;
   /// Find the next event to fire — the least of the heap top and the lane
   /// heads — dropping tombstones and re-keying rescheduled entries on the

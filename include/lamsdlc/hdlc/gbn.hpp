@@ -26,7 +26,9 @@ namespace lamsdlc::hdlc {
 
 /// GBN-HDLC sending endpoint.  Sink of the reverse channel.  \p bus
 /// (optional) receives the typed event stream as `Source::kDlcSender`.
-class GbnSender final : public sim::DlcSender, public link::FrameSink {
+class GbnSender final : public sim::DlcSender,
+                        public link::FrameSink,
+                        public link::ChannelUser {
  public:
   GbnSender(Simulator& sim, link::SimplexChannel& data_out, HdlcConfig cfg,
             sim::DlcStats* stats = nullptr, obs::EventBus* bus = nullptr);
@@ -54,6 +56,9 @@ class GbnSender final : public sim::DlcSender, public link::FrameSink {
   /// True when try_send() would transmit (or advance its resend cursor).
   [[nodiscard]] bool has_work() const;
   void try_send();
+  /// link::ChannelUser: the data channel's transmit hook.
+  void on_channel_idle() override { try_send(); }
+  [[nodiscard]] bool has_channel_work() const override { return has_work(); }
   void release_below(std::uint64_t ctr);
   /// Move the resend cursor to \p ctr; frames it passes back over are
   /// queued for retransmission.

@@ -39,7 +39,9 @@ namespace lamsdlc::hdlc {
 
 /// SR-HDLC sending endpoint.  Sink of the reverse channel.  \p bus
 /// (optional) receives the typed event stream as `Source::kDlcSender`.
-class SrSender final : public sim::DlcSender, public link::FrameSink {
+class SrSender final : public sim::DlcSender,
+                       public link::FrameSink,
+                       public link::ChannelUser {
  public:
   SrSender(Simulator& sim, link::SimplexChannel& data_out, HdlcConfig cfg,
            sim::DlcStats* stats = nullptr, obs::EventBus* bus = nullptr);
@@ -72,6 +74,9 @@ class SrSender final : public sim::DlcSender, public link::FrameSink {
   /// True when try_send() would transmit (or prune its retransmit queue).
   [[nodiscard]] bool has_work() const;
   void try_send();
+  /// link::ChannelUser: the data channel's transmit hook.
+  void on_channel_idle() override { try_send(); }
+  [[nodiscard]] bool has_channel_work() const override { return has_work(); }
   /// Poll sent: enter the response wait and start t_out.
   void await_response();
   void send_iframe(std::uint64_t ctr, bool poll);

@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_set>
 #include <vector>
 
 #include "lamsdlc/core/simulator.hpp"
@@ -206,10 +205,17 @@ class LamsReceiver final : public link::FrameSink {
   /// the current arrival (see handle_iframe).
   std::uint64_t anchor_arrival_{0};
 
-  /// Per-interval NAK lists; the cumulative checkpoint takes the union of
-  /// the most recent C_depth of them (including the in-progress interval).
-  std::deque<std::vector<std::uint64_t>> interval_naks_;
-  std::vector<std::uint64_t> current_interval_;
+  /// NAKs of the cumulative-reporting window in detection order, each
+  /// tagged with the number of checkpoint ticks before its detection (its
+  /// interval).  A tick drops the intervals C_depth ticks old and reports
+  /// the rest, so a NAK rides exactly C_depth consecutive periodic
+  /// checkpoints; an idle tick compares one tag at most.
+  struct IntervalNak {
+    std::uint64_t ctr;
+    std::uint64_t interval;
+  };
+  std::deque<IntervalNak> interval_naks_;
+  std::uint64_t ticks_{0};  ///< Checkpoint ticks so far: the open interval.
 
   /// Extended history backing Enforced-NAK, pruned by time.
   std::deque<NakRecord> history_;

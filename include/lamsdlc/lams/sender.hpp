@@ -40,7 +40,9 @@ namespace lamsdlc::lams {
 /// LAMS-DLC sending endpoint.  Attach as the sink of the *reverse* channel
 /// (it consumes checkpoint traffic) and give it the *forward* channel for
 /// I-frame and Request-NAK transmission.
-class LamsSender final : public sim::DlcSender, public link::FrameSink {
+class LamsSender final : public sim::DlcSender,
+                         public link::FrameSink,
+                         public link::ChannelUser {
  public:
   enum class Mode { kNormal, kEnforcedRecovery, kResyncing, kFailed };
 
@@ -176,6 +178,9 @@ class LamsSender final : public sim::DlcSender, public link::FrameSink {
   /// True when try_send() would transmit or arm the pacing timer.
   [[nodiscard]] bool has_work() const;
   void try_send();
+  /// link::ChannelUser: the data channel's transmit hook.
+  void on_channel_idle() override { try_send(); }
+  [[nodiscard]] bool has_channel_work() const override { return has_work(); }
   void send_iframe(Pending p);
   void handle_checkpoint(const frame::CheckpointFrame& cp);
   void process_naks(const frame::CheckpointFrame& cp);

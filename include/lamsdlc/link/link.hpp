@@ -26,6 +26,7 @@
 #include "lamsdlc/frame/codec.hpp"
 #include "lamsdlc/frame/frame.hpp"
 #include "lamsdlc/obs/bus.hpp"
+#include "lamsdlc/orbit/orbit.hpp"
 #include "lamsdlc/phy/error_model.hpp"
 #include "lamsdlc/phy/fault_injector.hpp"
 #include "lamsdlc/phy/fec.hpp"
@@ -38,6 +39,23 @@ class FrameSink {
   virtual ~FrameSink() = default;
   /// Deliver a frame (possibly with `corrupted` set).
   virtual void on_frame(frame::Frame f) = 0;
+};
+
+/// The sending endpoint as its channel sees it: the transmit hook a backend
+/// calls when the serializer frees up.  Installed once, when the endpoint is
+/// built on the channel, so the per-frame calls are plain virtual calls.
+class ChannelUser {
+ public:
+  virtual ~ChannelUser() = default;
+  /// The serializer finished the last queued frame (or a downed channel came
+  /// back up); it lets a saturating sender keep the pipe full without
+  /// polling.
+  virtual void on_channel_idle() = 0;
+  /// Whether `on_channel_idle` would do anything right now.  A backend may
+  /// skip a completion whose callback would find nothing to send, so this
+  /// must never return false while `on_channel_idle` would act; returning
+  /// true needlessly only costs an event.
+  [[nodiscard]] virtual bool has_channel_work() const = 0;
 };
 
 /// Sending side of a channel, abstracted over the backend: the surface the
@@ -59,17 +77,11 @@ class FrameChannel {
   /// Queue a frame for transmission (FIFO at the channel's data rate).
   virtual void send(frame::Frame f) = 0;
 
-  /// Install the sender's transmit hook.  \p on_idle runs whenever the
-  /// serializer finishes the last queued frame (and when a downed channel
-  /// comes back up); it lets a saturating sender keep the pipe full without
-  /// polling.  \p has_work says whether \p on_idle would do anything right
-  /// now.  A backend may skip a completion whose callback would find nothing
-  /// to send, so the predicate must never return false while \p on_idle
-  /// would act; returning true needlessly only costs an event.
-  virtual void set_idle_callback(std::function<void()> on_idle,
-                                 std::function<bool()> has_work) = 0;
+  /// Install the sender's transmit hook (null detaches it).  \p user must
+  /// outlive the channel or be detached first.
+  virtual void set_user(ChannelUser* user) = 0;
 
-  /// The sender's `has_work()` may just have turned true.  A sender calls
+  /// The user's `has_channel_work()` may just have turned true.  A sender calls
   /// this wherever it gains work that it does not transmit on the spot
   /// (typically because the channel is busy), so a frame mid-serialization
   /// still owes it the idle callback when it completes.
@@ -88,15 +100,120 @@ class FrameChannel {
   [[nodiscard]] virtual Time propagation_at(Time when) const = 0;
 };
 
+/// Arrival-ordered queue of frames in flight towards one receiving sink —
+/// the one transit queue of the link layer.  A `SimplexChannel` delivers
+/// through its own instance; the parallel network driver gives each channel
+/// one in the *receiving* partition's kernel instead, fed directly for
+/// partition-local traffic and at window barriers for cross-partition
+/// traffic.
+///
+/// Frames park in a slot pool and the queue holds 24-byte `{arrival, epoch,
+/// slot}` records, so a frame is moved once in and once out and the steady
+/// state allocates nothing.  A single armed sweep event delivers every due
+/// frame in (arrival, push order) — FIFO among equal arrivals, so fault
+/// duplicates pushed before their original deliver first.  On a fault-free
+/// channel arrivals are monotone and a push appends; a jitter stage or
+/// shrinking orbital propagation takes the rare sorted insert and moves the
+/// sweep earlier.  The sweep fires at a fixed priority chosen by the owner:
+/// the kernel default for a channel's own queue, a distinct below-default
+/// value per ingress in the parallel driver, so same-instant
+/// sweep-vs-endpoint-timer order depends only on which objects are involved,
+/// never on scheduling history — which is what makes execution invariant
+/// across partition counts.
+///
+/// Down-epochs are mirrored rather than shared: `bump_epoch` is called by
+/// the same link-down operation that bumps the sending channel's epoch, so
+/// an in-flight frame stamped with a stale epoch is dropped at its arrival
+/// instant with the fate the channel itself would give it.
+class ChannelIngress {
+ public:
+  /// \p batched false schedules one kernel event per frame at its arrival
+  /// (same priority) instead of the shared sweep — the original delivery
+  /// discipline, kept for A/B identity tests.
+  ChannelIngress(Simulator& sim, Simulator::Priority sweep_priority,
+                 bool batched = true)
+      : sim_{sim}, sweep_priority_{sweep_priority}, batched_{batched} {}
+
+  ChannelIngress(const ChannelIngress&) = delete;
+  ChannelIngress& operator=(const ChannelIngress&) = delete;
+
+  void set_sink(FrameSink* sink) noexcept { sink_ = sink; }
+  void set_event_bus(obs::EventBus* bus, obs::Source source) noexcept {
+    bus_ = bus;
+    src_ = source;
+  }
+
+  /// Accept an in-flight frame.  \throws std::logic_error if \p arrival is
+  /// before the local kernel's clock — that means the window lookahead bound
+  /// was violated, and a loud failure beats a silently divergent run.
+  void push(Time arrival, std::uint64_t epoch, frame::Frame&& f);
+
+  /// Link went down: in-flight frames stamped with the old epoch are dropped
+  /// at their arrival instants (photons in flight when pointing was lost).
+  void bump_epoch() noexcept { ++epoch_; }
+
+  [[nodiscard]] std::uint64_t frames_delivered() const noexcept {
+    return frames_delivered_;
+  }
+  /// Frames dropped at arrival: stale epoch (kLinkDown) or no sink.
+  [[nodiscard]] std::uint64_t frames_dropped() const noexcept {
+    return frames_dropped_;
+  }
+  /// Frames parked now, between `push` and their delivery.
+  [[nodiscard]] std::size_t in_flight() const noexcept {
+    return pool_.size() - free_.size();
+  }
+  /// Slots the pool has ever allocated: the peak of `in_flight()`.
+  [[nodiscard]] std::size_t pool_slots() const noexcept { return pool_.size(); }
+
+ private:
+  struct Transit {
+    Time arrival;
+    std::uint64_t epoch;
+    std::uint32_t slot;
+  };
+  static_assert(sizeof(Transit) == 24, "transit records stay small");
+
+  std::uint32_t park(frame::Frame&& f);
+  void deliver(std::uint64_t epoch, std::uint32_t slot);
+  void arm_sweep();
+  void sweep();
+  void emit_drop(obs::DropCause cause, const frame::Frame& f);
+
+  Simulator& sim_;
+  Simulator::Priority sweep_priority_;
+  bool batched_;
+  FrameSink* sink_{nullptr};
+  obs::EventBus* bus_{nullptr};
+  obs::Source src_{obs::Source::kOther};
+  /// Pending records from `head_` on, in delivery order; the consumed
+  /// prefix is reclaimed when the queue drains (or, on a link that never
+  /// drains, once it is the larger half).
+  std::vector<Transit> transit_;
+  std::size_t head_{0};
+  std::vector<frame::Frame> pool_;     ///< Parked frames by slot.
+  std::vector<std::uint32_t> free_;    ///< Recycled slot indices.
+  EventId sweep_event_{0};
+  bool sweep_armed_{false};
+  Time sweep_at_{};
+  std::uint64_t epoch_{0};
+  std::uint64_t frames_delivered_{0};
+  std::uint64_t frames_dropped_{0};
+};
+
 /// One direction of the link.
 class SimplexChannel final : public FrameChannel {
  public:
   struct Config {
     double data_rate_bps = 300e6;  ///< Laser link rate (paper: 0.3–1 Gbps).
     /// One-way propagation delay as a function of the send instant.  Fixed
-    /// by default; hook an orbit::SatellitePair for moving satellites.
+    /// by default; see `geometry` for moving satellites.
     std::function<Time(Time)> propagation =
         [](Time) { return Time::milliseconds(10); };
+    /// Orbit-driven propagation: when set, a frame sent at t takes the
+    /// pair's light time at t (`SatellitePair::propagation_delay`, called
+    /// directly) and `propagation` is ignored.
+    std::shared_ptr<const orbit::SatellitePair> geometry;
     /// Distinct FEC per frame class (assumption 4).  A frame's wire length
     /// is `codec.coded_bits(frame bits)` when a codec is configured.
     std::optional<phy::FecParams> iframe_fec;
@@ -121,10 +238,11 @@ class SimplexChannel final : public FrameChannel {
     frame::DecodeLimits decode_limits;
 
     /// Batched delivery: in-flight frames wait in a per-channel
-    /// arrival-ordered transit queue with a single armed kernel event at the
-    /// head arrival, instead of one kernel event per frame.  A saturated
-    /// 1 Gbps / 10 ms link holds ~10^3 frames in flight, so this keeps the
-    /// simulator's event heap a few entries deep rather than a thousand.
+    /// arrival-ordered transit queue (`ChannelIngress`) with a single armed
+    /// kernel event at the head arrival, instead of one kernel event per
+    /// frame.  A saturated 1 Gbps / 10 ms link holds ~10^3 frames in
+    /// flight, so this keeps the simulator's event heap a few entries deep
+    /// rather than a thousand.
     /// Per-frame delivery instants and same-instant ordering are preserved
     /// exactly (the identity is gated by tests); `false` restores the
     /// original one-event-per-frame scheduling for A/B comparison.
@@ -167,23 +285,29 @@ class SimplexChannel final : public FrameChannel {
   void set_event_bus(obs::EventBus* bus, obs::Source source) noexcept {
     bus_ = bus;
     src_ = source;
+    transit_.set_event_bus(bus, source);
   }
 
   SimplexChannel(const SimplexChannel&) = delete;
   SimplexChannel& operator=(const SimplexChannel&) = delete;
 
-  /// Attach the receiving endpoint.  Frames sent while no sink is attached
-  /// are counted and dropped.
-  void set_sink(FrameSink* sink) noexcept { sink_ = sink; }
+  /// Attach the receiving endpoint.  Frames that arrive while no sink is
+  /// attached are counted and dropped.
+  void set_sink(FrameSink* sink) noexcept { transit_.set_sink(sink); }
 
   /// Receiver-side handoff for the parallel network driver: every frame that
   /// survives the send-time fate draw (error model, fault stages, byte-level
-  /// codec) is handed to \p egress with its computed arrival instant and the
-  /// channel's down-epoch at send, *instead of* entering this channel's own
+  /// codec) goes to \p ingress with its computed arrival instant and the
+  /// channel's down-epoch at send, *instead of* into this channel's own
   /// transit queue.  All nondeterminism is resolved at send time — the
   /// handoff carries a finished (frame, arrival, epoch) triple, so delivery
-  /// can run in a different partition's kernel (a `ChannelIngress` living
-  /// with the receiver) without consulting sender-side state.
+  /// needs no sender-side state.  \p ingress must run on this channel's
+  /// kernel (a partition-local receiver); it is called directly.
+  void set_ingress(ChannelIngress& ingress) noexcept { ingress_ = &ingress; }
+
+  /// As `set_ingress`, for a receiver in another partition's kernel: the
+  /// triple goes to \p egress (which stages it for the next window barrier)
+  /// and overrides any ingress.
   using Egress = std::function<void(Time arrival, std::uint64_t epoch,
                                     frame::Frame f)>;
   void set_egress(Egress egress) { egress_ = std::move(egress); }
@@ -192,12 +316,10 @@ class SimplexChannel final : public FrameChannel {
   /// order at the data rate.
   void send(frame::Frame f) override;
 
-  /// See `FrameChannel::set_idle_callback`.  The serializer-completion event
-  /// is inserted into the kernel only when \p has_work (or a queued frame)
-  /// needs it; otherwise its key is merely reserved.
-  /// \throws std::invalid_argument if exactly one of the two is empty.
-  void set_idle_callback(std::function<void()> on_idle,
-                         std::function<bool()> has_work) override;
+  /// See `FrameChannel::set_user`.  The serializer-completion event is
+  /// inserted into the kernel only when the user has work (or a frame is
+  /// queued); otherwise its key is merely reserved.
+  void set_user(ChannelUser* user) override;
 
   void note_work() override;
 
@@ -217,12 +339,23 @@ class SimplexChannel final : public FrameChannel {
 
   /// One-way delay of a frame sent at \p when (exact in the sim model).
   [[nodiscard]] Time propagation_at(Time when) const override {
-    return cfg_.propagation(when);
+    return cfg_.geometry ? geometry_delay(when) : cfg_.propagation(when);
+  }
+
+  /// Share one orbit-range memo with \p other, the opposite direction of the
+  /// same link on the same kernel (FullDuplexLink does this).  The receivers
+  /// at both ends tick at the same instants, so each checkpoint's range is
+  /// then evaluated once for both directions.  No-op unless both channels
+  /// use the same `geometry`.
+  void share_geometry_memo(SimplexChannel& other) noexcept {
+    if (cfg_.geometry && cfg_.geometry == other.cfg_.geometry) {
+      other.memo_ = memo_;
+    }
   }
 
   /// One-way delay for a frame sent now.
   [[nodiscard]] Time current_propagation() const {
-    return cfg_.propagation(sim_.now());
+    return propagation_at(sim_.now());
   }
 
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
@@ -231,7 +364,11 @@ class SimplexChannel final : public FrameChannel {
   /// @{
   [[nodiscard]] std::uint64_t frames_sent() const noexcept { return frames_sent_; }
   [[nodiscard]] std::uint64_t frames_corrupted() const noexcept { return frames_corrupted_; }
-  [[nodiscard]] std::uint64_t frames_dropped() const noexcept { return frames_dropped_; }
+  /// Frames destroyed on a downed link (queued, sent, or in flight) or
+  /// arriving with no sink attached.
+  [[nodiscard]] std::uint64_t frames_dropped() const noexcept {
+    return frames_dropped_ + transit_.frames_dropped();
+  }
   [[nodiscard]] std::uint64_t bits_sent() const noexcept { return bits_sent_; }
   /// Byte-accurate mode only: clean frames that failed to decode, or whose
   /// decoded wire fields disagreed with what was sent despite a passing FCS.
@@ -269,7 +406,18 @@ class SimplexChannel final : public FrameChannel {
   /// @}
 
  private:
+  /// `geometry` light time at \p when, remembered for the last instant
+  /// asked (the function of \p when is pure, so the memo is exact).
+  [[nodiscard]] Time geometry_delay(Time when) const noexcept {
+    if (!(memo_->valid && memo_->at == when)) {
+      *memo_ = {when, cfg_.geometry->propagation_delay(when), true};
+    }
+    return memo_->delay;
+  }
   void start_next();
+  /// Serialize \p f (consumed) from now: fate draw, completion key, and the
+  /// handoff towards the receiver.
+  void start(frame::Frame& f);
   /// True from `start_next` until the current frame's serialization ends:
   /// the completion event fired, or its reserved key passed unmaterialized.
   [[nodiscard]] bool serializing() const noexcept {
@@ -280,45 +428,15 @@ class SimplexChannel final : public FrameChannel {
   void on_done(std::uint64_t epoch);
   void emit_fate(obs::EventKind kind, obs::DropCause cause,
                  const frame::Frame& f);
-  [[nodiscard]] std::size_t coded_bits(const frame::Frame& f) const noexcept;
+  /// Serializer bits for \p raw information bits of a control/data frame.
+  [[nodiscard]] std::size_t coded_bits(std::size_t raw, bool control) const noexcept;
+  [[nodiscard]] Time tx_time_bits(std::size_t coded) const noexcept {
+    return Time::seconds(static_cast<double>(coded) / cfg_.data_rate_bps);
+  }
   /// Byte-accurate mode: encode, apply \p corrupt as real bit flips, decode.
   /// Moves through: the input frame is consumed, never copied, and the
   /// encode buffer is the reused channel-owned `wire_buf_`.
   [[nodiscard]] frame::Frame through_codec(frame::Frame f, bool corrupt);
-
-  /// \name In-flight frame pool
-  /// Frames between serialization and delivery park in a slot pool so the
-  /// propagation-delay callback captures only `{this, epoch, slot}` — small
-  /// enough for the simulator's inline callback storage.  With the pool the
-  /// steady-state I-frame path schedules, flies and delivers without a
-  /// single allocation (slots and payload capacity are recycled).
-  /// @{
-  std::uint32_t stash_inflight(frame::Frame f);
-  [[nodiscard]] frame::Frame take_inflight(std::uint32_t slot);
-  void deliver_inflight(std::uint64_t epoch, std::uint32_t slot);
-  /// @}
-
-  /// \name Batched delivery (Config::batched_delivery)
-  /// Transit entries ordered by arrival; FIFO among equal arrivals (deque
-  /// position encodes push order, so fault duplicates pushed before their
-  /// original deliver first, as in the per-frame path).  On a fault-free
-  /// channel arrivals are monotone and every push is an O(1) push_back; a
-  /// jitter stage or shrinking orbital propagation triggers the rare sorted
-  /// insert and an earlier reschedule of the sweep event.
-  /// @{
-  struct Transit {
-    Time arrival;
-    std::uint64_t epoch;
-    std::uint32_t slot;
-  };
-  void push_transit(Time arrival, std::uint64_t epoch, std::uint32_t slot);
-  void arm_sweep();
-  void sweep_transit();
-  std::deque<Transit> transit_;
-  EventId sweep_event_{0};
-  bool sweep_armed_{false};
-  Time sweep_at_{};
-  /// @}
 
   Simulator& sim_;
   Config cfg_;
@@ -327,15 +445,23 @@ class SimplexChannel final : public FrameChannel {
   std::vector<std::unique_ptr<phy::FaultInjector>> faults_;
   std::optional<phy::FecCodec> iframe_codec_;
   std::optional<phy::FecCodec> control_codec_;
-  FrameSink* sink_{nullptr};
-  Egress egress_;
+  /// This channel's own transit queue (the single-kernel delivery path).
+  ChannelIngress transit_;
+  ChannelIngress* ingress_{&transit_};  ///< Where surviving frames go.
+  Egress egress_;                       ///< Cross-partition staging, if set.
   obs::EventBus* bus_{nullptr};
   obs::Source src_{obs::Source::kOther};
-  std::function<void()> idle_cb_;
-  std::function<bool()> has_work_;
+  ChannelUser* user_{nullptr};
+  struct GeometryMemo {
+    Time at;
+    Time delay;
+    bool valid = false;
+  };
+  /// Own memo, or the opposite direction's (`share_geometry_memo`).
+  std::shared_ptr<GeometryMemo> memo_ = std::make_shared<GeometryMemo>();
+  /// Frames waiting behind the one serializing; an idle channel starts a
+  /// sent frame directly and leaves this empty.
   std::deque<frame::Frame> queue_;
-  std::vector<frame::Frame> inflight_;          ///< Slot pool (see above).
-  std::vector<std::uint32_t> inflight_free_;    ///< Recycled slot indices.
   std::vector<std::uint8_t> wire_buf_;          ///< Reused encode buffer.
   /// \name Serializer
   /// A frame's completion takes its dispatch key in `start_next`, exactly
@@ -366,76 +492,6 @@ class SimplexChannel final : public FrameChannel {
   RandomStream flip_rng_;
 };
 
-/// Receiver-side transit queue for the parallel network driver: the mirror
-/// of `SimplexChannel`'s batched delivery, living in the *receiving*
-/// partition's kernel.  Frames arrive via `push` (directly for
-/// partition-local traffic, at window barriers for cross-partition traffic);
-/// a single armed sweep event delivers them at their arrival instants in
-/// (arrival, push-order) order — exactly the channel's own transit
-/// discipline.  The sweep is scheduled at a fixed below-default priority
-/// unique to this ingress, so same-instant sweep-vs-endpoint-timer ordering
-/// depends only on which objects are involved, never on scheduling history —
-/// which is what makes execution invariant across partition counts.
-///
-/// Down-epochs are mirrored rather than shared: `bump_epoch` is called from
-/// the same (barrier-time) link-down operation that bumps the sending
-/// channel's epoch, so a stamped in-flight frame whose epoch is stale is
-/// dropped here with the same observable fate the channel itself would give
-/// it.
-class ChannelIngress {
- public:
-  ChannelIngress(Simulator& sim, Simulator::Priority sweep_priority)
-      : sim_{sim}, sweep_priority_{sweep_priority} {}
-
-  ChannelIngress(const ChannelIngress&) = delete;
-  ChannelIngress& operator=(const ChannelIngress&) = delete;
-
-  void set_sink(FrameSink* sink) noexcept { sink_ = sink; }
-  void set_event_bus(obs::EventBus* bus, obs::Source source) noexcept {
-    bus_ = bus;
-    src_ = source;
-  }
-
-  /// Accept an in-flight frame.  \throws std::logic_error if \p arrival is
-  /// before the local kernel's clock — that means the window lookahead bound
-  /// was violated, and a loud failure beats a silently divergent run.
-  void push(Time arrival, std::uint64_t epoch, frame::Frame f);
-
-  /// Link went down: in-flight frames stamped with the old epoch are dropped
-  /// at their arrival instants (photons in flight when pointing was lost).
-  void bump_epoch() noexcept { ++epoch_; }
-
-  [[nodiscard]] std::uint64_t frames_delivered() const noexcept {
-    return frames_delivered_;
-  }
-  [[nodiscard]] std::uint64_t frames_dropped() const noexcept {
-    return frames_dropped_;
-  }
-
- private:
-  struct Transit {
-    Time arrival;
-    std::uint64_t epoch;
-    frame::Frame f;
-  };
-  void arm_sweep();
-  void sweep();
-  void emit_drop(obs::DropCause cause, const frame::Frame& f);
-
-  Simulator& sim_;
-  Simulator::Priority sweep_priority_;
-  FrameSink* sink_{nullptr};
-  obs::EventBus* bus_{nullptr};
-  obs::Source src_{obs::Source::kOther};
-  std::deque<Transit> transit_;
-  EventId sweep_event_{0};
-  bool sweep_armed_{false};
-  Time sweep_at_{};
-  std::uint64_t epoch_{0};
-  std::uint64_t frames_delivered_{0};
-  std::uint64_t frames_dropped_{0};
-};
-
 /// Full-duplex link: two independent simplex channels (assumption 2).
 class FullDuplexLink {
  public:
@@ -459,7 +515,11 @@ class FullDuplexLink {
                  SimplexChannel::Config reverse_cfg,
                  std::unique_ptr<phy::ErrorModel> reverse_error)
       : forward_{forward_sim, std::move(forward_cfg), std::move(forward_error)},
-        reverse_{reverse_sim, std::move(reverse_cfg), std::move(reverse_error)} {}
+        reverse_{reverse_sim, std::move(reverse_cfg), std::move(reverse_error)} {
+    // Directions on different kernels (parallel partitions) keep their own
+    // memos, so no memo is ever touched by two threads.
+    if (&forward_sim == &reverse_sim) forward_.share_geometry_memo(reverse_);
+  }
 
   [[nodiscard]] SimplexChannel& forward() noexcept { return forward_; }
   [[nodiscard]] SimplexChannel& reverse() noexcept { return reverse_; }

@@ -63,7 +63,9 @@ struct NbdtConfig {
 
 /// NBDT sender: continuous transmission, absolute numbering.  \p bus
 /// (optional) receives the typed event stream as `Source::kDlcSender`.
-class NbdtSender final : public sim::DlcSender, public link::FrameSink {
+class NbdtSender final : public sim::DlcSender,
+                         public link::FrameSink,
+                         public link::ChannelUser {
  public:
   NbdtSender(Simulator& sim, link::SimplexChannel& data_out, NbdtConfig cfg,
              sim::DlcStats* stats = nullptr, obs::EventBus* bus = nullptr);
@@ -90,6 +92,9 @@ class NbdtSender final : public sim::DlcSender, public link::FrameSink {
   /// True when try_send() would transmit (or prune its retransmit queue).
   [[nodiscard]] bool has_work() const;
   void try_send();
+  /// link::ChannelUser: the data channel's transmit hook.
+  void on_channel_idle() override { try_send(); }
+  [[nodiscard]] bool has_channel_work() const override { return has_work(); }
   void handle_status(const frame::SelectiveAckFrame& st);
   void release(std::uint64_t number);
   void queue_retx(std::uint64_t number);

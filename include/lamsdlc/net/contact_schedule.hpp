@@ -131,9 +131,7 @@ build_contact_network(Network& net, const orbit::Constellation& c,
     LinkSpec spec = proto;
     spec.a = static_cast<NodeId>(pair_ids.first);
     spec.b = static_cast<NodeId>(pair_ids.second);
-    spec.propagation = [geometry](Time t) {
-      return geometry->propagation_delay(t);
-    };
+    spec.geometry = geometry;
     if (spec.min_propagation.is_zero()) {
       spec.min_propagation = min_propagation_bound(*geometry, horizon);
     }

@@ -37,6 +37,7 @@
 #include "lamsdlc/lams/receiver.hpp"
 #include "lamsdlc/lams/sender.hpp"
 #include "lamsdlc/link/link.hpp"
+#include "lamsdlc/orbit/orbit.hpp"
 #include "lamsdlc/sim/error_config.hpp"
 #include "lamsdlc/sim/scenario.hpp"
 #include "lamsdlc/workload/message.hpp"
@@ -60,13 +61,17 @@ struct LinkSpec {
   NodeId b = 0;
   double data_rate_bps = 100e6;
   Time prop_delay = Time::milliseconds(5);
-  /// Optional time-varying propagation (orbit-driven); overrides prop_delay.
+  /// Optional time-varying propagation; overrides prop_delay.
   std::function<Time(Time)> propagation;
+  /// Orbit-driven propagation (light time over the pair's range), called
+  /// directly by the channels; overrides prop_delay and `propagation`.
+  std::shared_ptr<const orbit::SatellitePair> geometry;
   /// Guaranteed lower bound on the propagation delay over the whole run —
   /// the parallel driver's lookahead for this link.  Zero means "derive":
   /// fixed-delay links use `prop_delay`; links with a custom `propagation`
-  /// function must set this explicitly (the contact builder does, via
-  /// `min_propagation_bound`) or `enable_pdes` runs refuse to start.
+  /// function or a `geometry` must set this explicitly (the contact
+  /// builder does, via `min_propagation_bound`) or `enable_pdes` runs
+  /// refuse to start.
   Time min_propagation{};
   sim::ErrorConfig a_to_b_error;  ///< Error process on the a→b channel.
   sim::ErrorConfig b_to_a_error;  ///< Error process on the b→a channel.

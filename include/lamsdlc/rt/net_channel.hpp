@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "lamsdlc/frame/codec.hpp"
 #include "lamsdlc/frame/envelope.hpp"
@@ -51,12 +50,9 @@ class NetChannel final : public link::FrameChannel {
   /// \name link::FrameChannel
   /// @{
   void send(frame::Frame f) override;
-  /// The serializer timer always fires, so the has-work predicate is not
-  /// needed.
-  void set_idle_callback(std::function<void()> on_idle,
-                         std::function<bool()> /*has_work*/) override {
-    idle_cb_ = std::move(on_idle);
-  }
+  /// The serializer timer always fires, so the user's has-work predicate
+  /// is never consulted.
+  void set_user(link::ChannelUser* user) override { user_ = user; }
   [[nodiscard]] bool busy() const override { return busy_; }
   [[nodiscard]] bool up() const override { return true; }
   [[nodiscard]] Time tx_time(const frame::Frame& f) const override;
@@ -77,7 +73,7 @@ class NetChannel final : public link::FrameChannel {
   EventLoop& loop_;
   Transport& transport_;
   Config cfg_;
-  std::function<void()> idle_cb_;
+  link::ChannelUser* user_ = nullptr;
   std::deque<frame::Frame> queue_;
   std::vector<std::uint8_t> frame_buf_;  ///< Reused codec scratch.
   std::vector<std::uint8_t> env_buf_;    ///< Reused envelope scratch.

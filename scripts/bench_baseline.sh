@@ -102,15 +102,15 @@ before = rows.get("before")
 if before:
     before.pop("ops", None)
     out["before"] = {
-        "kernel": "inline binary heap (std::push_heap/pop_heap) + cancel "
-                  "and re-schedule for every timer re-arm",
+        "kernel": "the same bench/ sources built in the before-build dir",
         **before,
     }
 out["after"] = {
-    "kernel": "inline 4-ary heap (24-byte entries, hole-based sifts) + "
-              "slot-table callbacks (core::InlineFunction, 48-byte SBO) + "
+    "kernel": "inline 4-ary heap (24-byte entries, hole-based sifts, "
+              "Floyd-style pop) + slot-table callbacks (core::InlineFunction, "
+              "48-byte SBO, byte-copy relocation of trivial targets) + "
               "generation-tagged ids + in-place reschedule + reserved keys + "
-                  "fixed-delay FIFO lanes",
+              "fixed-delay FIFO lanes",
     **after,
 }
 keys = [k for k in baseline if k.endswith("_ops_per_sec")]

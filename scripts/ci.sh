@@ -17,9 +17,11 @@
 #      schedules (docs/VERIFICATION.md, self-stabilization oracle) run
 #      against the *sanitized* CLI from step 2 — gating; endpoint-state
 #      mutation plus recovery is exactly where a stray read/UB would hide.
-#   7. PDES identity smoke: one constellation run serial vs 4-way
+#   7. PDES identity smoke: constellation runs serial vs 4-way
 #      partitioned through the CLI — metrics JSON and capture bytes must be
-#      identical (gating).
+#      identical (gating).  One run keeps every link up; the other has
+#      contact churn (links lost and re-acquired, 1e-2 frame and control
+#      damage), and its report must also match the same run unobserved.
 #   8. daemon soak (non-gating): 2000 sequential 16 KiB streams through
 #      one self-peer daemon beside a 20 Hz metrics scraper, printing RSS,
 #      scrape time, status size, live rings and inbound sessions every
@@ -190,6 +192,28 @@ cmp "$PDESDIR/c1.ldlcap" "$PDESDIR/c4.ldlcap"
 diff <(grep -v '^partitions' "$PDESDIR/r1.txt") \
      <(grep -v '^partitions' "$PDESDIR/r4.txt")
 echo "PDES@4 byte-identical to serial (metrics + capture + report)"
+
+# Contact churn: at a 5000 km acquisition range cross-plane links go down
+# and come back mid-run, so in-flight drops, failover and re-built flows all
+# cross partition boundaries.  The same run without observation takes the
+# bus-off branches of every endpoint and channel; its report must not move.
+CHURN=(--max-range-km 5000 --pf 1e-2 --pc 1e-2 --waves 2
+       --packets-per-wave 100 --wave-interval-ms 50000 --horizon-s 120
+       --seed 5)
+for parts in 1 4; do
+  "$CLI" network "${CHURN[@]}" --partitions "$parts" \
+    --metrics-out "$PDESDIR/churn-m$parts.json" \
+    --capture-out "$PDESDIR/churn-c$parts.ldlcap" \
+    > "$PDESDIR/churn-r$parts.txt"
+done
+grep -q down_dropped "$PDESDIR/churn-m1.json"  # links really went down
+cmp "$PDESDIR/churn-m1.json" "$PDESDIR/churn-m4.json"
+cmp "$PDESDIR/churn-c1.ldlcap" "$PDESDIR/churn-c4.ldlcap"
+diff <(grep -v '^partitions' "$PDESDIR/churn-r1.txt") \
+     <(grep -v '^partitions' "$PDESDIR/churn-r4.txt")
+"$CLI" network "${CHURN[@]}" > "$PDESDIR/churn-quiet.txt"
+diff <(grep -v '^events' "$PDESDIR/churn-r1.txt") "$PDESDIR/churn-quiet.txt"
+echo "contact churn: PDES@4 byte-identical to serial; unobserved report unchanged"
 
 echo "== daemon soak (non-gating, 2000 streams) =="
 # Finished sessions retire, so RSS, scrape time and the status document

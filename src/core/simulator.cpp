@@ -165,10 +165,39 @@ void Simulator::sift_down(std::size_t hole, Entry e) noexcept {
   heap_[hole] = e;
 }
 
+void Simulator::replace_top(Entry e) noexcept {
+  // Floyd's bottom-up variant: walk the hole from the root to a leaf along
+  // the least child (3 compares per level, none against \p e), then sift
+  // \p e up from there.  Both callers insert an entry that belongs near the
+  // bottom (the heap's last entry, or a timer pushed a timeout later), so
+  // the climb back is short.  Keys are unique, so the top — and with it the
+  // dispatch order — is exactly what a top-down sift would give.
+  const std::size_t n = heap_.size();
+  std::size_t hole = 0;
+  for (;;) {
+    const std::size_t first = 4 * hole + 1;
+    if (first >= n) break;
+    const std::size_t last = std::min(first + 4, n);
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < last; ++c) {
+      if (before(heap_[c], heap_[best])) best = c;
+    }
+    heap_[hole] = heap_[best];
+    hole = best;
+  }
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 4;
+    if (!before(e, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = e;
+}
+
 void Simulator::pop_top() noexcept {
   const Entry last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) sift_down(0, last);
+  if (!heap_.empty()) replace_top(last);
 }
 
 const Simulator::Entry* Simulator::settle_next() noexcept {
@@ -202,7 +231,7 @@ const Simulator::Entry* Simulator::settle_next() noexcept {
     // at the heap top, or by moving it from its lane into the heap.
     const Entry rekeyed{s.key.at, s.key.seq, e.slot, e.gen};
     if (from == kFromHeap) {
-      sift_down(0, rekeyed);
+      replace_top(rekeyed);
     } else {
       lanes_[from].pop();
       push_entry(rekeyed);

@@ -14,7 +14,7 @@ GbnSender::GbnSender(Simulator& sim, link::SimplexChannel& data_out,
       stats_{stats},
       obs_{bus, obs::Source::kDlcSender},
       seqspace_{cfg.modulus} {
-  out_.set_idle_callback([this] { try_send(); }, [this] { return has_work(); });
+  out_.set_user(this);
 }
 
 GbnSender::~GbnSender() { sim_.cancel(timeout_timer_); }

@@ -16,7 +16,7 @@ SrSender::SrSender(Simulator& sim, link::SimplexChannel& data_out,
       stats_{stats},
       obs_{bus, obs::Source::kDlcSender},
       seqspace_{cfg.modulus} {
-  out_.set_idle_callback([this] { try_send(); }, [this] { return has_work(); });
+  out_.set_user(this);
 }
 
 SrSender::~SrSender() { sim_.cancel(timeout_timer_); }

@@ -68,7 +68,6 @@ void LamsReceiver::reset_session() {
   iframe_arrivals_ = 0;
   anchor_arrival_ = 0;
   interval_naks_.clear();
-  current_interval_.clear();
   history_.clear();
 }
 
@@ -76,11 +75,12 @@ void LamsReceiver::checkpoint_tick() {
   if (!running_) return;
   obs_.emit(sim_.now(), obs::EventKind::kTimerFired,
             obs::TimerPayload{obs::TimerId::kCheckpointCadence, 0});
-  // Close the current detection interval before reporting, so a NAK raised
-  // an instant before the tick is included in this checkpoint.
-  interval_naks_.push_back(std::move(current_interval_));
-  current_interval_.clear();
-  while (interval_naks_.size() > cfg_.cumulation_depth) {
+  // Close the open detection interval before reporting, so a NAK raised an
+  // instant before the tick is included in this checkpoint, and drop the
+  // intervals that have now been reported C_depth times.
+  ++ticks_;
+  while (!interval_naks_.empty() &&
+         interval_naks_.front().interval + cfg_.cumulation_depth < ticks_) {
     interval_naks_.pop_front();
   }
   emit_checkpoint(/*enforced=*/false);
@@ -88,7 +88,8 @@ void LamsReceiver::checkpoint_tick() {
 }
 
 void LamsReceiver::emit_checkpoint(bool enforced) {
-  frame::CheckpointFrame cp;
+  frame::Frame f;
+  auto& cp = f.body.emplace<frame::CheckpointFrame>();  // built in place
   cp.cp_seq = ++cp_seq_;
   cp.generated_at = sim_.now();
   cp.any_seen = any_seen_;
@@ -119,7 +120,7 @@ void LamsReceiver::emit_checkpoint(bool enforced) {
     // Enforced-NAK: every unexpired NAK of the resolving period, so a
     // sender that missed an arbitrary run of checkpoints still recovers
     // every damaged frame.  `history_` alone covers this: every NAK enters
-    // it the instant it enters `current_interval_`, and prune_history()
+    // it the instant it enters `interval_naks_`, and prune_history()
     // never prunes inside the cumulative-reporting window.
     prune_history();
     cp.naks.reserve(history_.size());
@@ -127,15 +128,9 @@ void LamsReceiver::emit_checkpoint(bool enforced) {
       if (expressible(r.ctr)) cp.naks.push_back(seqspace_.wrap(r.ctr));
     }
   } else {
-    // Cumulative list over the last C_depth closed intervals plus anything
-    // detected in the (just-started) current one.
-    for (const auto& interval : interval_naks_) {
-      for (const std::uint64_t ctr : interval) {
-        if (expressible(ctr)) cp.naks.push_back(seqspace_.wrap(ctr));
-      }
-    }
-    for (const std::uint64_t ctr : current_interval_) {
-      if (expressible(ctr)) cp.naks.push_back(seqspace_.wrap(ctr));
+    // Cumulative list over the last C_depth closed intervals.
+    for (const IntervalNak& n : interval_naks_) {
+      if (expressible(n.ctr)) cp.naks.push_back(seqspace_.wrap(n.ctr));
     }
   }
 
@@ -156,8 +151,6 @@ void LamsReceiver::emit_checkpoint(bool enforced) {
 
   ++cp_count_;
   if (stats_) ++stats_->control_tx;
-  frame::Frame f;
-  f.body = std::move(cp);
   out_.send(std::move(f));
 }
 
@@ -274,7 +267,7 @@ void LamsReceiver::handle_iframe(const frame::IFrame& in, bool corrupted) {
   // unreadable: NAK each exactly once.
   const std::uint64_t gap_from = any_seen_ ? highest_ctr_ + 1 : 0;
   for (std::uint64_t missing = gap_from; missing < ctr; ++missing) {
-    current_interval_.push_back(missing);
+    interval_naks_.push_back(IntervalNak{missing, ticks_});
     history_.push_back(NakRecord{missing, sim_.now()});
     ++naks_generated_;
     if (obs_.active()) {
@@ -439,9 +432,13 @@ std::size_t LamsReceiver::run_self_audit() {
       check_end(history_.front().ctr);
       check_end(history_.back().ctr);
     }
-    if (!current_interval_.empty()) {
-      check_end(current_interval_.front());
-      check_end(current_interval_.back());
+    // The open interval is the tail of `interval_naks_` tagged `ticks_`.
+    const auto open = std::partition_point(
+        interval_naks_.begin(), interval_naks_.end(),
+        [this](const IntervalNak& n) { return n.interval < ticks_; });
+    if (open != interval_naks_.end()) {
+      check_end(open->ctr);
+      check_end(interval_naks_.back().ctr);
     }
     if (nak_bad) {
       trip(obs::AuditCheck::kReceiverNakCoherence, witness, highest_ctr_);
@@ -500,14 +497,13 @@ void LamsReceiver::corrupt_warp_anchor(std::int64_t delta) {
 
 void LamsReceiver::corrupt_inject_nak(std::uint64_t ctr) {
   if (!running_) return;
-  current_interval_.push_back(ctr);
+  interval_naks_.push_back(IntervalNak{ctr, ticks_});
   history_.push_back(NakRecord{ctr, sim_.now()});
 }
 
 void LamsReceiver::corrupt_clear_nak_state() {
   if (!running_) return;
   interval_naks_.clear();
-  current_interval_.clear();
   history_.clear();
 }
 

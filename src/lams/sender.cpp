@@ -29,7 +29,7 @@ LamsSender::LamsSender(Simulator& sim, link::FrameChannel& data_out,
       stats_{stats},
       obs_{bus, obs::Source::kLamsSender},
       seqspace_{cfg.modulus} {
-  out_.set_idle_callback([this] { try_send(); }, [this] { return has_work(); });
+  out_.set_user(this);
   if (!cfg_.self_audit_period.is_zero()) {
     audit_timer_ =
         sim_.schedule_in(cfg_.self_audit_period, [this] { on_audit_tick(); });
@@ -103,20 +103,24 @@ bool LamsSender::idle() const {
 }
 
 void LamsSender::note_buffer_change() {
-  if (stats_) {
-    stats_->send_buffer.update(sim_.now(),
-                               static_cast<double>(sending_buffer_depth()));
+  const std::size_t depth = sending_buffer_depth();
+  // An empty buffer staying empty would add 0 · dt to the time-weighted
+  // sum: no accumulated value changes, and the elapsed time is credited all
+  // the same by the next real change or the closing `finish`.  Skipping it
+  // keeps the idle checkpoint path free of floating-point work.
+  if (stats_ && (depth != 0 || stats_->send_buffer.current() != 0.0)) {
+    stats_->send_buffer.update(sim_.now(), static_cast<double>(depth));
   }
   if (obs_.active()) {
     obs::Event e = make_event(obs::EventKind::kBufferOccupancy);
-    e.p.buffer = {obs::BufferId::kSendBuffer,
-                  static_cast<std::uint32_t>(sending_buffer_depth())};
+    e.p.buffer = {obs::BufferId::kSendBuffer, static_cast<std::uint32_t>(depth)};
     obs_.emit(e);
   }
   if (on_buffer_change_) on_buffer_change_();
   // Every gain of work (submissions, NAK and release processing, requeues,
-  // mode changes back to normal) passes through here.
-  out_.note_work();
+  // mode changes back to normal) passes through here.  Callers that go on
+  // to try_send() leave the channel's note_work() to it (try_send does
+  // exactly that when the channel is busy); the others call it themselves.
 }
 
 bool LamsSender::has_work() const {
@@ -538,6 +542,7 @@ void LamsSender::reset_session() {
   mode_ = Mode::kNormal;
   next_send_allowed_ = Time{};
   note_buffer_change();
+  out_.note_work();
 }
 
 std::vector<sim::Packet> LamsSender::take_unresolved() {
@@ -795,6 +800,7 @@ frame::PacketId LamsSender::corrupt_drop_slot(std::size_t nth) {
   const std::vector<std::uint64_t> ctrs = outstanding_.sorted_ctrs();
   const Pending dropped = outstanding_.take(ctrs[nth % ctrs.size()]);
   note_buffer_change();
+  out_.note_work();
   return dropped.packet.id;
 }
 

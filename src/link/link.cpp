@@ -34,6 +34,7 @@ SimplexChannel::SimplexChannel(Simulator& sim, Config cfg,
     : sim_{sim},
       cfg_{std::move(cfg)},
       error_{std::move(error_model)},
+      transit_{sim, Simulator::kDefaultPriority, cfg_.batched_delivery},
       flip_rng_{cfg_.byte_level_seed, "link.bitflip"} {
   if (cfg_.iframe_fec) iframe_codec_.emplace(*cfg_.iframe_fec);
   if (cfg_.control_fec) control_codec_.emplace(*cfg_.control_fec);
@@ -91,17 +92,14 @@ frame::Frame SimplexChannel::through_codec(frame::Frame f, bool corrupt) {
   return *std::move(decoded);
 }
 
-std::size_t SimplexChannel::coded_bits(const frame::Frame& f) const noexcept {
-  const std::size_t raw = frame::wire_bits(f);
-  if (f.is_control()) {
-    return control_codec_ ? control_codec_->coded_bits(raw) : raw;
-  }
+std::size_t SimplexChannel::coded_bits(std::size_t raw,
+                                       bool control) const noexcept {
+  if (control) return control_codec_ ? control_codec_->coded_bits(raw) : raw;
   return iframe_codec_ ? iframe_codec_->coded_bits(raw) : raw;
 }
 
 Time SimplexChannel::tx_time(const frame::Frame& f) const noexcept {
-  const double bits = static_cast<double>(coded_bits(f));
-  return Time::seconds(bits / cfg_.data_rate_bps);
+  return tx_time_bits(coded_bits(frame::wire_bits(f), f.is_control()));
 }
 
 Time SimplexChannel::busy_until() const noexcept {
@@ -112,20 +110,16 @@ bool SimplexChannel::busy() const noexcept {
   return serializing() || !queue_.empty();
 }
 
-void SimplexChannel::set_idle_callback(std::function<void()> on_idle,
-                                       std::function<bool()> has_work) {
-  if (static_cast<bool>(on_idle) != static_cast<bool>(has_work)) {
-    throw std::invalid_argument(
-        "SimplexChannel::set_idle_callback: the idle callback and its "
-        "has-work predicate come together");
-  }
-  idle_cb_ = std::move(on_idle);
-  has_work_ = std::move(has_work);
+void SimplexChannel::set_user(ChannelUser* user) {
+  user_ = user;
   note_work();  // a new sender may arrive with work in hand
 }
 
 void SimplexChannel::note_work() {
-  if (serializing() && !done_armed_ && has_work_ && has_work_()) arm_done();
+  if (serializing() && !done_armed_ && user_ != nullptr &&
+      user_->has_channel_work()) {
+    arm_done();
+  }
 }
 
 void SimplexChannel::arm_done() {
@@ -148,6 +142,10 @@ void SimplexChannel::send(frame::Frame f) {
     emit_fate(obs::EventKind::kFrameDropped, obs::DropCause::kLinkDown, f);
     return;
   }
+  if (!serializing() && queue_.empty()) {
+    start(f);  // an idle serializer takes the frame at once
+    return;
+  }
   queue_.push_back(std::move(f));
   if (!serializing()) {
     start_next();
@@ -161,35 +159,43 @@ void SimplexChannel::set_up(bool up) {
   up_ = up;
   if (up_) {
     // Restored: tell the sender the transmitter is available again.
-    if (idle_cb_) idle_cb_();
+    if (user_ != nullptr) user_->on_channel_idle();
     return;
   }
-  {
-    frames_dropped_ += queue_.size();
-    for (const auto& q : queue_) {
-      emit_fate(obs::EventKind::kFrameDropped, obs::DropCause::kLinkDown, q);
-    }
-    queue_.clear();
-    // A frame mid-serialization is lost too.  Its completion, if it was
-    // inserted, still fires but finds the epoch moved on (on_done); the
-    // serializer is free from now.
-    ++down_epoch_;
-    transmitting_ = false;
-    done_armed_ = false;
+  frames_dropped_ += queue_.size();
+  for (const auto& q : queue_) {
+    emit_fate(obs::EventKind::kFrameDropped, obs::DropCause::kLinkDown, q);
   }
+  queue_.clear();
+  // A frame mid-serialization is lost too.  Its completion, if it was
+  // inserted, still fires but finds the epoch moved on (on_done); the
+  // serializer is free from now.  Frames in flight in this channel's own
+  // transit queue die at their arrival instants.
+  ++down_epoch_;
+  transit_.bump_epoch();
+  transmitting_ = false;
+  done_armed_ = false;
 }
 
 void SimplexChannel::start_next() {
   if (queue_.empty() || !up_) {
-    if (idle_cb_ && up_) idle_cb_();
+    if (user_ != nullptr && up_) user_->on_channel_idle();
     return;
   }
   frame::Frame f = std::move(queue_.front());
   queue_.pop_front();
+  start(f);
+}
+
+void SimplexChannel::start(frame::Frame& f) {
   const Time start = sim_.now();
-  const std::size_t bits = coded_bits(f);
-  const Time dur = tx_time(f);
-  const Time end = start + dur;
+  // Information bits, computed once: the FEC expansion of them sets the
+  // serialization time, and the error process and fault stages see them
+  // as they are.
+  const bool control = f.is_control();
+  const std::size_t raw = frame::wire_bits(f);
+  const std::size_t bits = coded_bits(raw, control);
+  const Time end = start + tx_time_bits(bits);
   transmitting_ = true;
   tx_done_ = end;
   ++frames_sent_;
@@ -199,12 +205,11 @@ void SimplexChannel::start_next() {
   // folds the codec into the medium, assumption 5), so it sees information
   // bits; the FEC expansion affects only serialization time above.
   phy::ErrorModel* model =
-      (f.is_control() && control_error_) ? control_error_.get() : error_.get();
+      (control && control_error_) ? control_error_.get() : error_.get();
   phy::FrameFate fate;
-  fate.corrupt =
-      model != nullptr && model->corrupts(start, end, frame::wire_bits(f));
+  fate.corrupt = model != nullptr && model->corrupts(start, end, raw);
   for (auto& stage : faults_) {
-    fate.combine(stage->fate(f.is_control(), start, end, frame::wire_bits(f)));
+    fate.combine(stage->fate(control, start, end, raw));
   }
   if (fate.corrupt) {
     ++frames_corrupted_;
@@ -224,7 +229,7 @@ void SimplexChannel::start_next() {
     f.corrupted = true;
   }
 
-  const Time prop = cfg_.propagation(start);
+  const Time prop = propagation_at(start);
   const std::uint64_t epoch = down_epoch_;
 
   // Serialization completes at `end`: take the completion's key now, and
@@ -239,7 +244,9 @@ void SimplexChannel::start_next() {
   } else {
     done_key_ = sim_.reserve(end);
     done_armed_ = false;
-    if (!queue_.empty() || (has_work_ && has_work_())) arm_done();
+    if (!queue_.empty() || (user_ != nullptr && user_->has_channel_work())) {
+      arm_done();
+    }
   }
 
   if (fate.drop) {
@@ -259,117 +266,23 @@ void SimplexChannel::start_next() {
     ++frames_delayed_;
     emit_fate(obs::EventKind::kFrameDelayed, obs::DropCause::kFaultJitter, f);
   }
-  // Parallel-driver handoff: the fate is fully decided, so the finished
-  // (frame, arrival, epoch) triple can leave this kernel entirely.  The
-  // duplicates precede the original, matching the transit-queue push order
-  // below.
-  if (egress_) {
-    for (std::uint32_t i = 0; i < fate.duplicates; ++i) {
-      ++frames_duplicated_;
-      emit_fate(obs::EventKind::kFrameDuplicated,
-                obs::DropCause::kFaultDuplicate, f);
-      egress_(arrival, epoch, frame::Frame{f});
-    }
-    egress_(arrival, epoch, std::move(f));
-    return;
-  }
-  // Frames in flight park in the slot pool; the scheduled callback carries
-  // only the slot index, so it fits the simulator's inline storage and the
-  // steady-state path allocates nothing.
+  // The fate is fully decided, so the finished (frame, arrival, epoch)
+  // triple needs nothing more from this channel.  Duplicates go first, so
+  // they deliver before the original at the same instant.
   for (std::uint32_t i = 0; i < fate.duplicates; ++i) {
     ++frames_duplicated_;
     emit_fate(obs::EventKind::kFrameDuplicated, obs::DropCause::kFaultDuplicate,
               f);
-    const std::uint32_t dup = stash_inflight(frame::Frame{f});
-    if (cfg_.batched_delivery) {
-      push_transit(arrival, epoch, dup);
+    if (egress_) {
+      egress_(arrival, epoch, frame::Frame{f});
     } else {
-      sim_.schedule_at(arrival,
-                       [this, epoch, dup] { deliver_inflight(epoch, dup); });
+      ingress_->push(arrival, epoch, frame::Frame{f});
     }
   }
-  const std::uint32_t slot = stash_inflight(std::move(f));
-  if (cfg_.batched_delivery) {
-    push_transit(arrival, epoch, slot);
+  if (egress_) {
+    egress_(arrival, epoch, std::move(f));
   } else {
-    sim_.schedule_at(arrival,
-                     [this, epoch, slot] { deliver_inflight(epoch, slot); });
-  }
-}
-
-void SimplexChannel::push_transit(Time arrival, std::uint64_t epoch,
-                                  std::uint32_t slot) {
-  if (transit_.empty() || !(arrival < transit_.back().arrival)) {
-    transit_.push_back(Transit{arrival, epoch, slot});
-  } else {
-    // Out-of-order arrival (fault jitter, or propagation shrinking faster
-    // than the serializer advances).  Insert after every entry arriving at
-    // or before the same instant, preserving FIFO among equal arrivals.
-    const auto pos = std::upper_bound(
-        transit_.begin(), transit_.end(), arrival,
-        [](Time a, const Transit& t) { return a < t.arrival; });
-    transit_.insert(pos, Transit{arrival, epoch, slot});
-  }
-  arm_sweep();
-}
-
-void SimplexChannel::arm_sweep() {
-  if (transit_.empty()) return;
-  const Time head = transit_.front().arrival;
-  if (!sweep_armed_) {
-    sweep_event_ = sim_.schedule_at(head, [this] { sweep_transit(); });
-  } else if (head < sweep_at_) {
-    sweep_event_ = sim_.reschedule(sweep_event_, head);
-  } else {
-    return;
-  }
-  sweep_at_ = head;
-  sweep_armed_ = true;
-}
-
-void SimplexChannel::sweep_transit() {
-  sweep_armed_ = false;
-  const Time now = sim_.now();
-  while (!transit_.empty() && !(now < transit_.front().arrival)) {
-    const Transit t = transit_.front();
-    transit_.pop_front();
-    // Delivery can synchronously send on this channel (relays, piggybacked
-    // responses) and re-enter push_transit; popping first keeps the queue
-    // consistent, and arm_sweep below coalesces with any re-entrant arm.
-    deliver_inflight(t.epoch, t.slot);
-  }
-  arm_sweep();
-}
-
-std::uint32_t SimplexChannel::stash_inflight(frame::Frame f) {
-  if (inflight_free_.empty()) {
-    inflight_.push_back(std::move(f));
-    return static_cast<std::uint32_t>(inflight_.size() - 1);
-  }
-  const std::uint32_t slot = inflight_free_.back();
-  inflight_free_.pop_back();
-  inflight_[slot] = std::move(f);
-  return slot;
-}
-
-frame::Frame SimplexChannel::take_inflight(std::uint32_t slot) {
-  frame::Frame f = std::move(inflight_[slot]);
-  inflight_free_.push_back(slot);
-  return f;
-}
-
-void SimplexChannel::deliver_inflight(std::uint64_t epoch, std::uint32_t slot) {
-  frame::Frame f = take_inflight(slot);
-  if (epoch != down_epoch_) {
-    ++frames_dropped_;  // photons in flight when pointing was lost
-    emit_fate(obs::EventKind::kFrameDropped, obs::DropCause::kLinkDown, f);
-    return;
-  }
-  if (sink_) {
-    sink_->on_frame(std::move(f));
-  } else {
-    ++frames_dropped_;
-    emit_fate(obs::EventKind::kFrameDropped, obs::DropCause::kNoSink, f);
+    ingress_->push(arrival, epoch, std::move(f));
   }
 }
 
@@ -384,7 +297,18 @@ void ChannelIngress::emit_drop(obs::DropCause cause, const frame::Frame& f) {
   bus_->emit(e);
 }
 
-void ChannelIngress::push(Time arrival, std::uint64_t epoch, frame::Frame f) {
+std::uint32_t ChannelIngress::park(frame::Frame&& f) {
+  if (free_.empty()) {
+    pool_.push_back(std::move(f));
+    return static_cast<std::uint32_t>(pool_.size() - 1);
+  }
+  const std::uint32_t slot = free_.back();
+  free_.pop_back();
+  pool_[slot] = std::move(f);
+  return slot;
+}
+
+void ChannelIngress::push(Time arrival, std::uint64_t epoch, frame::Frame&& f) {
   if (arrival < sim_.now()) {
     // The window lookahead bound (min link propagation) was violated: this
     // frame's delivery instant is already in the receiver's past.  Fail loud
@@ -394,23 +318,28 @@ void ChannelIngress::push(Time arrival, std::uint64_t epoch, frame::Frame f) {
         "ChannelIngress::push: arrival before local clock (lookahead bound "
         "violated)");
   }
-  if (transit_.empty() || !(arrival < transit_.back().arrival)) {
-    transit_.push_back(Transit{arrival, epoch, std::move(f)});
+  const std::uint32_t slot = park(std::move(f));
+  if (!batched_) {
+    sim_.schedule_at(arrival, sweep_priority_,
+                     [this, epoch, slot] { deliver(epoch, slot); });
+    return;
+  }
+  if (head_ == transit_.size() || !(arrival < transit_.back().arrival)) {
+    transit_.push_back(Transit{arrival, epoch, slot});
   } else {
-    // Same discipline as SimplexChannel::push_transit: insert after every
-    // entry arriving at or before the same instant, preserving FIFO among
-    // equal arrivals.
+    // Out-of-order arrival: insert after every entry arriving at or before
+    // the same instant, preserving FIFO among equal arrivals.
     const auto pos = std::upper_bound(
-        transit_.begin(), transit_.end(), arrival,
-        [](Time a, const Transit& t) { return a < t.arrival; });
-    transit_.insert(pos, Transit{arrival, epoch, std::move(f)});
+        transit_.begin() + static_cast<std::ptrdiff_t>(head_), transit_.end(),
+        arrival, [](Time a, const Transit& t) { return a < t.arrival; });
+    transit_.insert(pos, Transit{arrival, epoch, slot});
   }
   arm_sweep();
 }
 
 void ChannelIngress::arm_sweep() {
-  if (transit_.empty()) return;
-  const Time head = transit_.front().arrival;
+  if (head_ == transit_.size()) return;
+  const Time head = transit_[head_].arrival;
   if (!sweep_armed_) {
     sweep_event_ = sim_.schedule_at(head, sweep_priority_, [this] { sweep(); });
   } else if (head < sweep_at_) {
@@ -425,26 +354,43 @@ void ChannelIngress::arm_sweep() {
 void ChannelIngress::sweep() {
   sweep_armed_ = false;
   const Time now = sim_.now();
-  while (!transit_.empty() && !(now < transit_.front().arrival)) {
-    Transit t = std::move(transit_.front());
-    transit_.pop_front();
-    if (t.epoch != epoch_) {
-      ++frames_dropped_;  // photons in flight when pointing was lost
-      emit_drop(obs::DropCause::kLinkDown, t.f);
-      continue;
+  while (head_ < transit_.size() && !(now < transit_[head_].arrival)) {
+    const Transit t = transit_[head_++];
+    if (head_ == transit_.size()) {
+      transit_.clear();
+      head_ = 0;
+    } else if (head_ >= 1024 && 2 * head_ >= transit_.size()) {
+      // A link that never drains reclaims its consumed prefix now and
+      // then: amortized O(1) per frame.
+      transit_.erase(transit_.begin(),
+                     transit_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
     }
-    if (sink_ == nullptr) {
-      ++frames_dropped_;
-      emit_drop(obs::DropCause::kNoSink, t.f);
-      continue;
-    }
-    ++frames_delivered_;
     // Delivery can synchronously send (and re-enter push for a local
-    // channel); the pop above keeps the queue consistent, and arm_sweep
+    // channel); popping first keeps the queue consistent, and arm_sweep
     // below coalesces with any re-entrant arm.
-    sink_->on_frame(std::move(t.f));
+    deliver(t.epoch, t.slot);
   }
   arm_sweep();
+}
+
+void ChannelIngress::deliver(std::uint64_t epoch, std::uint32_t slot) {
+  frame::Frame& f = pool_[slot];
+  if (epoch != epoch_ || sink_ == nullptr) {
+    // A stale epoch: photons in flight when pointing was lost.
+    ++frames_dropped_;
+    emit_drop(epoch != epoch_ ? obs::DropCause::kLinkDown
+                              : obs::DropCause::kNoSink,
+              f);
+    free_.push_back(slot);
+    return;
+  }
+  ++frames_delivered_;
+  // The sink's parameter is moved straight out of the slot; the slot is
+  // recycled only afterwards, so a re-entrant push (which may grow the
+  // pool) never lands on it.
+  sink_->on_frame(std::move(f));
+  free_.push_back(slot);
 }
 
 }  // namespace lamsdlc::link

@@ -14,7 +14,7 @@ NbdtSender::NbdtSender(Simulator& sim, link::SimplexChannel& data_out,
       cfg_{cfg},
       stats_{stats},
       obs_{bus, obs::Source::kDlcSender} {
-  out_.set_idle_callback([this] { try_send(); }, [this] { return has_work(); });
+  out_.set_user(this);
 }
 
 NbdtSender::~NbdtSender() { sim_.cancel(tail_timer_); }

@@ -349,6 +349,7 @@ LinkId Network::add_link(const LinkSpec& spec) {
   auto channel_cfg = [&](bool forward) {
     link::SimplexChannel::Config c;
     c.data_rate_bps = spec.data_rate_bps;
+    c.geometry = spec.geometry;
     c.propagation = spec.propagation
                         ? spec.propagation
                         : [d = spec.prop_delay](Time) { return d; };
@@ -392,25 +393,22 @@ LinkId Network::add_link(const LinkSpec& spec) {
     // partition, via the barrier staging buffer when they do not.  Using the
     // ingress path for local traffic too keeps the delivery machinery — and
     // hence every tie-break — identical at every partition count.
-    auto route = [this](std::size_t src_part, std::size_t dst_part,
-                        link::ChannelIngress* ing) {
+    auto route = [this](link::SimplexChannel& ch, std::size_t src_part,
+                        std::size_t dst_part, link::ChannelIngress* ing) {
       if (src_part == dst_part) {
-        return link::SimplexChannel::Egress{
-            [ing](Time arrival, std::uint64_t epoch, frame::Frame f) {
-              ing->push(arrival, epoch, std::move(f));
-            }};
+        ch.set_ingress(*ing);
+        return;
       }
-      return link::SimplexChannel::Egress{
-          [this, src_part, ing](Time arrival, std::uint64_t epoch,
-                                frame::Frame f) {
-            pdes_->staged[src_part].push_back(
-                PdesState::StagedFrame{ing, arrival, epoch, std::move(f)});
-          }};
+      ch.set_egress([this, src_part, ing](Time arrival, std::uint64_t epoch,
+                                          frame::Frame f) {
+        pdes_->staged[src_part].push_back(
+            PdesState::StagedFrame{ing, arrival, epoch, std::move(f)});
+      });
     };
     const std::size_t pa = partition_of(spec.a);
     const std::size_t pb = partition_of(spec.b);
-    ls->duplex->forward().set_egress(route(pa, pb, ls->ingress_at_b.get()));
-    ls->duplex->reverse().set_egress(route(pb, pa, ls->ingress_at_a.get()));
+    route(ls->duplex->forward(), pa, pb, ls->ingress_at_b.get());
+    route(ls->duplex->reverse(), pb, pa, ls->ingress_at_a.get());
   }
 
   links_.push_back(std::move(ls));
@@ -713,7 +711,7 @@ Time Network::pdes_lookahead() const {
     const LinkSpec& s = ls->spec;
     Time bound = s.min_propagation;
     if (bound.ps() == 0) {
-      if (s.propagation) {
+      if (s.propagation || s.geometry) {
         throw std::logic_error(
             "PDES: link " + std::to_string(ls->ab->link()) +
             " has a custom propagation function but no min_propagation "

@@ -56,7 +56,7 @@ void NetChannel::serializer_done() {
     return;
   }
   busy_ = false;
-  if (idle_cb_) idle_cb_();
+  if (user_ != nullptr) user_->on_channel_idle();
 }
 
 }  // namespace lamsdlc::rt

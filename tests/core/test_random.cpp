@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 
 namespace lamsdlc {
 namespace {
@@ -95,6 +96,19 @@ TEST(RandomStream, GeometricMean) {
   for (int i = 0; i < n; ++i) sum += static_cast<double>(r.geometric(p));
   // Mean failures before success: (1-p)/p = 3.
   EXPECT_NEAR(sum / n, (1 - p) / p, 0.05);
+}
+
+TEST(RandomStream, UniformIsGenerateCanonicalBitForBit) {
+  // uniform() replaces std::generate_canonical<double, 53> with its exact
+  // closed form; every seeded stream must read the same doubles as before.
+  for (const std::uint64_t seed : {1ull, 7ull, 0xDEADBEEFull}) {
+    RandomStream s{seed};
+    std::mt19937_64 reference{seed};
+    for (int i = 0; i < 200000; ++i) {
+      const double want = std::generate_canonical<double, 53>(reference);
+      ASSERT_EQ(s.uniform(), want) << "seed " << seed << " draw " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 /// digests of artifacts recorded from a known-good build: the metrics JSON
 /// and `.ldlcap` capture bytes of a contact-churn network (links going up
 /// and down, 1e-2 frame and control errors) at partition counts 1 and 3,
-/// and the concatenated metrics JSON of a 25-seed self-healing chaos sweep.
+/// the concatenated metrics JSON of a 25-seed self-healing chaos sweep, and
+/// the `NetworkReport` of the same churn network run with observation off
+/// (the bus-off branches every endpoint and channel takes in production).
 /// Both are chosen to change when the FIFO tie-break among same-instant
 /// events is reversed, which the small configs of the other suites do not.  Any change
 /// to the kernel's (instant, priority, FIFO) dispatch order, to when a
@@ -22,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -77,6 +80,33 @@ constexpr NetworkDigest kChurnDigests[] = {
 
 constexpr std::uint64_t kChaosSweepDigest = 0xcd6e53165c483bedull;
 
+// Recorded from the build before the checkpoint-round changes (direct
+// channel start, slot-pooled transit, tagged NAK intervals).
+constexpr std::uint64_t kUnobservedReportDigest = 0x7f0c3357f8f91c93ull;
+
+/// Every report field, the delay doubles as their exact bit patterns.
+std::string report_bytes(const net::NetworkReport& r) {
+  std::string out;
+  const auto put = [&out](std::uint64_t v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  const auto put_double = [&put](double d) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof bits);
+    put(bits);
+  };
+  put(r.packets_sent);
+  put(r.packets_delivered);
+  put(r.duplicate_deliveries);
+  put(r.packets_lost);
+  put(r.packets_forwarded);
+  put(r.packets_parked);
+  put(r.messages_completed);
+  put_double(r.mean_delay_s);
+  put_double(r.max_delay_s);
+  return out;
+}
+
 TEST(GoldenDigest, ContactChurnNetwork) {
   for (const NetworkDigest& want : kChurnDigests) {
     NetworkRunConfig cfg = churn_config();
@@ -92,6 +122,23 @@ TEST(GoldenDigest, ContactChurnNetwork) {
     EXPECT_EQ(fnv1a(r.capture), want.capture)
         << std::hex << "capture digest 0x" << fnv1a(r.capture);
   }
+}
+
+TEST(GoldenDigest, UnobservedContactChurnReport) {
+  // With observation off no event reaches a bus, so nothing above pins
+  // these runs; the report is the only output.  It must match the pinned
+  // digest and the observed run's report field for field.
+  NetworkRunConfig cfg = churn_config();
+  cfg.observe = false;
+  const NetworkRunResult quiet = run_network(cfg);
+  ASSERT_TRUE(quiet.metrics_json.empty());
+  ASSERT_GT(quiet.report.packets_delivered, 0u);
+  const std::string bytes = report_bytes(quiet.report);
+  EXPECT_EQ(fnv1a(bytes), kUnobservedReportDigest)
+      << std::hex << "unobserved report digest 0x" << fnv1a(bytes);
+
+  const NetworkRunResult observed = run_network(churn_config());
+  EXPECT_EQ(bytes, report_bytes(observed.report));
 }
 
 TEST(GoldenDigest, ChaosSweepMetrics) {

@@ -26,6 +26,15 @@ struct RecordingSink final : FrameSink {
   std::vector<Arrival> arrivals;
 };
 
+/// A sending endpoint that always (or never) has work; counts idle calls.
+struct StubUser final : ChannelUser {
+  explicit StubUser(bool work) : work{work} {}
+  void on_channel_idle() override { ++idle_calls; }
+  [[nodiscard]] bool has_channel_work() const override { return work; }
+  bool work;
+  int idle_calls = 0;
+};
+
 frame::Frame iframe(std::uint32_t seq, std::uint32_t bytes) {
   frame::Frame f;
   f.body = frame::IFrame{seq, 0, bytes, {}};
@@ -99,12 +108,12 @@ TEST(SimplexChannel, IdleCallbackFiresWhenQueueDrains) {
   SimplexChannel ch{sim, cfg_100mbps_5ms(), std::make_unique<phy::PerfectChannel>()};
   RecordingSink sink{sim};
   ch.set_sink(&sink);
-  int idle_calls = 0;
-  ch.set_idle_callback([&] { ++idle_calls; }, [] { return true; });
+  StubUser user{true};
+  ch.set_user(&user);
   ch.send(iframe(0, 100));
   ch.send(iframe(1, 100));
   sim.run();
-  EXPECT_EQ(idle_calls, 1);  // once, when the second frame finishes
+  EXPECT_EQ(user.idle_calls, 1);  // once, when the second frame finishes
 }
 
 TEST(SimplexChannel, ErrorModelMarksCorruption) {
@@ -280,7 +289,8 @@ TEST(SimplexChannel, SendAtCompletionInstantFollowsDispatchOrder) {
                       std::make_unique<phy::PerfectChannel>()};
     RecordingSink sink{sim};
     ch.set_sink(&sink);
-    ch.set_idle_callback([] {}, [] { return false; });  // an idle sender
+    StubUser idle_sender{false};
+    ch.set_user(&idle_sender);
     const Time tx = ch.tx_time(iframe(0, 100));
     bool busy = false;
     const auto probe = [&] {
