@@ -1,54 +1,14 @@
 #pragma once
 /// \file daemon_opts.hpp
-/// \brief Flag parsing + run loop shared by `lamsdlcd` and
+/// \brief Flag table + run loop shared by `lamsdlcd` and
 ///        `lamsdlc_cli serve` — one daemon, two front doors.
-///
-/// Flags (defaults in brackets):
-///   --bind HOST              [127.0.0.1]  UDP bind address
-///   --port N                 [0]          UDP port (0 = ephemeral, printed)
-///   --peer HOST:PORT         [-]          remote daemon for outbound streams
-///   --self-peer              [off]        peer with our own socket (single-
-///                                         process live mode, full captures)
-///   --bridge [PORT]          [off]        local TCP client bridge (PORT
-///                                         optional; 0/omitted = ephemeral)
-///   --deliver-dir DIR        [-]          write inbound streams here
-///                                         (.part -> .bin/.err rename)
-///   --session-base N         [pid-based]  first outbound session id
-///   --exit-after-streams N   [0]          exit once N streams finished
-///   --rate BPS               [300e6]      modeled serialization rate
-///   --max-one-way-ms MS      [5]          one-way network delay bound
-///   --chunk-bytes B          [1024]       stream segmentation
-///   --icp-ms MS              [5]          LAMS checkpoint interval
-///   --impair                 [off]        route outbound datagrams through
-///                                         the fault injector
-///   --p-drop/-duplicate/-reorder/-corrupt/-truncate P   [0] fault rates
-///   --max-jitter-us US       [40]         reorder jitter bound
-///   --fault-seed S           [1]
-///   --capture PREFIX         [-]          one .ldlcap per session id at
-///                                         PREFIX-s<sid>.ldlcap
-///   --status [PORT]          [off]        TCP introspection port (PORT
-///                                         optional; 0/omitted = ephemeral)
-///   --status-sample-ms MS    [500]        sampler period for `watch`
-///                                         (0 disables sampling)
-///   --recorder-dir DIR       [.]          flight-recorder dump directory
-///                                         (blackbox-s<sid>-<n>.ldlcap)
-///   --recorder-events N      [4096]       per-session ring capacity
-///                                         (0 disables the recorder)
-///   --no-telemetry           [off]        detach all per-session telemetry
-///                                         (registry + recorder; bench A/B)
-///   --verbose                [off]        progress lines on stderr
-///
-/// On startup the daemon prints one machine-readable line per bound socket
-/// (`udp <port>` / `bridge <port>` / `status <port>`) and `ready`, then
-/// serves until killed or --exit-after-streams is met; exit status 0 iff no
-/// stream failed.
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
 
+#include "flags.hpp"
 #include "lamsdlc/rt/daemon.hpp"
 
 namespace lamsdlc::tools {
@@ -59,115 +19,86 @@ inline void daemon_signal_handler(int) {
   if (g_daemon != nullptr) g_daemon->stop();
 }
 
-/// Parse `HOST:PORT`; exits with a usage error on malformed input.
-inline bool split_host_port(const std::string& s, std::string& host,
+/// Parse `HOST:PORT` (port 1..65535 and nothing after it).
+inline bool split_host_port(std::string_view s, std::string& host,
                             std::uint16_t& port) {
   const auto colon = s.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == s.size()) {
+  std::uint16_t p = 0;
+  if (colon == std::string_view::npos || colon == 0 ||
+      !read_number(s.substr(colon + 1), p) || p == 0) {
     return false;
   }
   host = s.substr(0, colon);
-  const long p = std::strtol(s.c_str() + colon + 1, nullptr, 10);
-  if (p <= 0 || p > 65535) return false;
-  port = static_cast<std::uint16_t>(p);
+  port = p;
   return true;
 }
 
 /// Parse daemon flags starting at argv[first]; exits 2 on bad usage.
-/// `prog` prefixes error messages ("lamsdlcd" / "lamsdlc_cli serve").
+/// `prog` names the command in help and errors ("lamsdlcd").
 inline rt::DaemonConfig parse_daemon_flags(int argc, char** argv, int first,
                                            const char* prog) {
   rt::DaemonConfig cfg;
-  auto die = [&](const std::string& what) {
-    std::fprintf(stderr, "%s: %s (see tools/daemon_opts.hpp for flags)\n",
-                 prog, what.c_str());
-    std::exit(2);
-  };
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) die(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
-  for (int i = first; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--bind") {
-      cfg.bind_host = need(i);
-    } else if (a == "--port") {
-      cfg.udp_port = static_cast<std::uint16_t>(std::atoi(need(i)));
-    } else if (a == "--peer") {
-      if (!split_host_port(need(i), cfg.peer_host, cfg.peer_port)) {
-        die("--peer wants HOST:PORT");
-      }
-    } else if (a == "--self-peer") {
-      cfg.self_peer = true;
-    } else if (a == "--bridge") {
-      cfg.bridge = true;
-      // Optional port operand: consume the next argv iff it is a number.
-      if (i + 1 < argc && argv[i + 1][0] != '-' &&
-          std::strtol(argv[i + 1], nullptr, 10) > 0) {
-        cfg.bridge_port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
-      }
-    } else if (a == "--deliver-dir") {
-      cfg.deliver_dir = need(i);
-    } else if (a == "--session-base") {
-      cfg.session_base = static_cast<std::uint32_t>(std::atoll(need(i)));
-    } else if (a == "--exit-after-streams") {
-      cfg.exit_after_streams = static_cast<std::uint32_t>(std::atoi(need(i)));
-    } else if (a == "--rate") {
-      cfg.data_rate_bps = std::atof(need(i));
-    } else if (a == "--max-one-way-ms") {
-      cfg.max_one_way = Time::seconds(std::atof(need(i)) * 1e-3);
-    } else if (a == "--chunk-bytes") {
-      cfg.chunk_bytes = static_cast<std::uint32_t>(std::atoi(need(i)));
-    } else if (a == "--icp-ms") {
-      cfg.session.lams.checkpoint_interval =
-          Time::seconds(std::atof(need(i)) * 1e-3);
-    } else if (a == "--impair") {
-      cfg.impair = true;
-    } else if (a == "--p-drop") {
-      cfg.fault.p_drop = std::atof(need(i));
-    } else if (a == "--p-duplicate") {
-      cfg.fault.p_duplicate = std::atof(need(i));
-    } else if (a == "--p-reorder") {
-      cfg.fault.p_reorder = std::atof(need(i));
-    } else if (a == "--p-corrupt") {
-      cfg.fault.p_corrupt = std::atof(need(i));
-    } else if (a == "--p-truncate") {
-      cfg.fault.p_truncate = std::atof(need(i));
-    } else if (a == "--max-jitter-us") {
-      cfg.fault.max_jitter = Time::seconds(std::atof(need(i)) * 1e-6);
-    } else if (a == "--fault-seed") {
-      cfg.fault_seed = static_cast<std::uint64_t>(std::atoll(need(i)));
-    } else if (a == "--capture") {
-      cfg.capture_prefix = need(i);
-    } else if (a == "--status") {
-      cfg.status = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-' &&
-          std::strtol(argv[i + 1], nullptr, 10) > 0) {
-        cfg.status_port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
-      }
-    } else if (a == "--status-sample-ms") {
-      cfg.status_sample_period = Time::seconds(std::atof(need(i)) * 1e-3);
-    } else if (a == "--recorder-dir") {
-      cfg.recorder_dir = need(i);
-    } else if (a == "--recorder-events") {
-      cfg.recorder_events = static_cast<std::size_t>(std::atoll(need(i)));
-    } else if (a == "--no-telemetry") {
-      cfg.telemetry = false;
-    } else if (a == "--verbose") {
-      cfg.verbose = true;
-    } else if (a == "--help" || a == "-h") {
-      std::printf(
-          "usage: %s [flags]\n"
-          "Runs LAMS-DLC sessions over a real UDP socket; the header of\n"
-          "tools/daemon_opts.hpp documents every flag.\n",
-          prog);
-      std::exit(0);
-    } else {
-      die("unknown flag " + a);
-    }
-  }
+  const Command cmd{
+      prog,
+      "Runs LAMS-DLC sessions over a real UDP socket.  On startup it prints\n"
+      "one line per bound socket (`udp <port>`, `bridge <port>`, `status\n"
+      "<port>`) and `ready`, then serves until killed or --exit-after-streams\n"
+      "is met; exit status 0 iff no stream failed."};
+  const Flags flags = {
+      {"--bind", "HOST", "UDP bind address", cfg.bind_host},
+      {"--port", "N", "UDP port (0 = ephemeral, printed)", cfg.udp_port},
+      {"--peer", "HOST:PORT", "remote daemon for outbound streams", "",
+       [&cfg](std::string_view t) {
+         return split_host_port(t, cfg.peer_host, cfg.peer_port) ? nullptr
+                                                                 : kMalformed;
+       }},
+      {"--self-peer", "peer with our own socket (one-process live mode)",
+       cfg.self_peer},
+      Flag{"--bridge", "[PORT]", "local TCP client bridge (0 = ephemeral)",
+           cfg.bridge_port}
+          .also([&cfg] { cfg.bridge = true; }),
+      {"--deliver-dir", "DIR", "write inbound streams here", cfg.deliver_dir},
+      {"--session-base", "N", "first outbound session id (0 = pid-based)",
+       cfg.session_base},
+      {"--exit-after-streams", "N", "exit once N streams finished (0 = never)",
+       cfg.exit_after_streams},
+      {"--rate", "BPS", "modeled serialization rate", cfg.data_rate_bps,
+       kPositive},
+      {"--max-one-way-ms", "MS", "one-way delay bound", cfg.max_one_way, 1e-3},
+      {"--chunk-bytes", "B", "stream segmentation", cfg.chunk_bytes, kPositive},
+      {"--icp-ms", "MS", "LAMS checkpoint interval",
+       cfg.session.lams.checkpoint_interval, 1e-3},
+      {"--impair", "route outbound datagrams through the fault injector",
+       cfg.impair},
+      {"--p-drop", "P", "fault rate: drop", cfg.fault.p_drop, kProbability},
+      {"--p-duplicate", "P", "fault rate: duplicate", cfg.fault.p_duplicate,
+       kProbability},
+      {"--p-reorder", "P", "fault rate: reorder", cfg.fault.p_reorder,
+       kProbability},
+      {"--p-corrupt", "P", "fault rate: corrupt", cfg.fault.p_corrupt,
+       kProbability},
+      {"--p-truncate", "P", "fault rate: truncate", cfg.fault.p_truncate,
+       kProbability},
+      {"--max-jitter-us", "US", "reorder jitter bound", cfg.fault.max_jitter,
+       1e-6},
+      {"--fault-seed", "S", "fault injector seed", cfg.fault_seed},
+      {"--capture", "PREFIX", "one PREFIX-s<sid>.ldlcap per session",
+       cfg.capture_prefix},
+      Flag{"--status", "[PORT]", "TCP introspection port (0 = ephemeral)",
+           cfg.status_port}
+          .also([&cfg] { cfg.status = true; }),
+      {"--status-sample-ms", "MS", "sampler period for `watch` (0 = off)",
+       cfg.status_sample_period, 1e-3},
+      {"--recorder-dir", "DIR", "flight-recorder dumps (empty = .)",
+       cfg.recorder_dir},
+      {"--recorder-events", "N", "per-session recorder ring (0 = off)",
+       cfg.recorder_events},
+      {"--no-telemetry", "detach per-session telemetry (bench A/B)",
+       cfg.telemetry, false},
+      {"--verbose", "progress lines on stderr", cfg.verbose}};
+  parse_flags(cmd, flags, argc, argv, first);
   if (cfg.self_peer && !cfg.peer_host.empty()) {
-    die("--self-peer and --peer are mutually exclusive");
+    usage_error(cmd, "--self-peer and --peer are mutually exclusive");
   }
   return cfg;
 }

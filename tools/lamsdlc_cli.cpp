@@ -1,200 +1,31 @@
 /// \file lamsdlc_cli.cpp
-/// \brief Command-line scenario driver.
+/// \brief Command-line scenario driver and tools.
 ///
-/// Runs one protocol-over-link simulation from flags and prints either a
-/// human-readable report or a CSV row (for sweeps driven by shell loops):
+/// With no subcommand, runs one protocol-over-link simulation from flags and
+/// prints a report or a CSV row (for sweeps driven by shell loops); the
+/// subcommands replay chaos schedules, verify, capture/inspect/trace event
+/// streams, run constellations and talk to the live daemon.  Every command
+/// derives its parser and `--help` from one flag table:
 ///
-///   lamsdlc_cli --protocol lams --rate 300e6 --delay-ms 10 --pf 0.1
-///       --frames 10000 --csv          (a single command line)
-///
-/// Flags (defaults in brackets):
-///   --protocol lams|sr|gbn|nbdt   [lams]
-///   --rate BPS               [100e6]     link data rate
-///   --delay-ms MS            [5]         one-way propagation delay
-///   --frame-bytes B          [1024]
-///   --frames N               [1000]      batch size
-///   --pf P                   [0]         I-frame error probability
-///   --pc P                   [0]         control-frame error probability
-///   --ber B                  [-]         use Bernoulli BER instead of pf/pc
-///   --burst-ms MS            [-]         Gilbert-Elliott mean burst length
-///   --icp-ms MS              [5]         LAMS checkpoint interval
-///   --cdepth K               [4]         LAMS cumulation depth
-///   --window W               [64]        HDLC window
-///   --timeout-ms MS          [50]        HDLC t_out
-///   --seed S                 [1]
-///   --byte-level             [off]       serialize through the real codec
-///   --horizon-s S            [600]
-///   --csv                    emit one CSV row (header with --csv-header)
-///   --analysis               also print the Section 4 closed forms
-///
-/// Subcommand `chaos`: replay seeded randomized fault schedules under the
-/// protocol invariant checker and print the verdict plus fault counters:
-///
-///   lamsdlc_cli chaos --seed 42              (one run, full verdict)
-///   lamsdlc_cli chaos --seed 1 --seeds 500   (soak: seeds 1..500)
-///
-/// Chaos flags:
-///   --seed S                 [1]         first (or only) schedule seed
-///   --seeds N                [1]         number of consecutive seeds to run
-///   --jobs N                 [1]         worker threads for the sweep
-///                            (0 = all cores; output is identical either way)
-///   --packets N              [200]       workload size per run
-///   --reverse-only           fault episodes attack only the checkpoint path
-///   --forward-only           fault episodes attack only the I-frame path
-///   --no-outage              never schedule a full link outage
-///   --no-suppress-duplicates ablation: receiver delivers stale frames (the
-///                            checker must then flag duplicate delivery)
-///   --reverse-noise P        pin the reverse (checkpoint path) error rate
-///                            instead of drawing it (feedback asymmetry)
-///   --reverse-outage-from-ms MS / --reverse-outage-ms MS
-///                            reverse-only outage window: checkpoints vanish
-///                            while the forward channel stays up
-///   --self-heal              enable the self-audit / watchdog / RESYNC layer
-///                            in the chaos scenario config
-///
-/// Subcommand `verify`: property-based verification — seeded hostile
-/// scenario generation cross-checked against the protocol invariants, the
-/// SR/GBN differential oracle and the Section 4 closed forms, plus a
-/// wire-level mutation fuzz of the frame codec.  Failing seeds auto-shrink
-/// to a minimal configuration and print a `verify --repro` command line:
-///
-///   lamsdlc_cli verify --seeds 200            (sweep seeds 1..200 + fuzz)
-///   lamsdlc_cli verify --repro --seed 17 --modulus 8 --cdepth 3 --packets 40
-///
-/// Verify flags:
-///   --seed S                 [1]    first (or only) seed
-///   --seeds N                [1]    number of consecutive seeds
-///   --jobs N                 [1]    worker threads (0 = all cores)
-///   --fuzz N                 [10000] codec fuzz iterations (0 disables)
-///   --modulus M / --cdepth C / --packets P    pin drawn values (0 = draw)
-///   --no-faults --no-congestion --no-outage --no-reverse --no-byte-level
-///   --no-differential --no-analysis           drop scenario/oracle classes
-///   --fault-scale X          [1.0]  scale fault windows (shrinker output)
-///   --repro                  single seed: print the full transcript verbatim
-///
-/// `verify --corrupt-state`: the state-corruption chaos tier.  Instead of
-/// attacking the wire, seeded injections mutate live endpoint state mid-run
-/// (counters, slots, NAK history, cadence timers, anchors); the oracle is
-/// the self-stabilization contract — converge to invariant-clean steady
-/// state within the recovery budget, or tear down through the bounded-retry
-/// RESYNC path.  Failing seeds shrink and print a repro line:
-///
-///   lamsdlc_cli verify --corrupt-state --seeds 250 --jobs 0
-///   lamsdlc_cli verify --corrupt-state --seed 58 --no-self-heal --repro
-///
-/// Corrupt-state flags:
-///   --seed S / --seeds N / --jobs N            as in verify
-///   --packets N              [120]  workload size per run
-///   --injections N           [0]    pin the injection count (0 = draw 1..4)
-///   --no-sender / --no-receiver    restrict the corruption targets
-///   --no-state-loss          never destroy an in-flight slot outright
-///   --no-noise               no background wire noise
-///   --no-self-heal           ablation: self-audit/watchdog/RESYNC layer OFF
-///   --fault-scale X          [1.0]  warp-magnitude multiplier (shrinker)
-///   --repro                  print one seed's transcript verbatim
-///
-/// Subcommand `capture`: run one chaos seed with every typed protocol event
-/// recorded to an `.ldlcap` capture file (format: docs/OBSERVABILITY.md):
-///
+///   lamsdlc_cli --protocol lams --rate 300e6 --delay-ms 10 --pf 0.1 --csv
+///   lamsdlc_cli chaos --seed 1 --seeds 500 --jobs 0
+///   lamsdlc_cli verify --seeds 200
 ///   lamsdlc_cli capture --seed 42 --out run.ldlcap
-///
-/// Capture flags: the chaos flags above (single seed; no --seeds) plus
-///   --out FILE               [chaos-seed-S.ldlcap]
-///   --sample-ms MS           [off] periodic registry snapshots in the
-///                            capture (kMetricSample records) at this cadence
-///
-/// Subcommand `inspect`: decode an `.ldlcap` file to text or JSON:
-///
-///   lamsdlc_cli inspect run.ldlcap --kind nak_generated --json
 ///   lamsdlc_cli inspect run.ldlcap --timeline --bucket-ms 10
-///
-/// Inspect flags:
-///   --json                   one JSON object per record (default: text)
-///   --summary                per-kind/per-source counts only
-///   --timeline               time-bucketed rate/occupancy table instead of
-///                            records (uses --bucket-ms)
-///   --bucket-ms MS           [span/20, >=1] timeline bucket width
-///   --kind NAME              keep only this event kind
-///   --source NAME            keep only this source (e.g. lams.sender)
-///   --from-ms MS / --to-ms MS  keep t in [from, to); from > to is rejected
-///   --limit N                stop after printing N records
-///
-/// Subcommand `trace`: reconstruct per-packet lifecycle span trees
-/// (admission -> sends/NAKs/renumbered retransmissions -> delivery ->
-/// release) from an `.ldlcap` file, or live from one chaos seed, and report
-/// latency attribution (docs/OBSERVABILITY.md describes the span model):
-///
-///   lamsdlc_cli trace run.ldlcap --perfetto run.json
 ///   lamsdlc_cli trace --seed 42 --explain worst
-///
-/// Trace flags: a positional capture file, or the chaos flags above (live
-/// run, single seed) plus --sample-ms as in `capture`, and:
-///   --corrupt-state          live run uses the state-corruption tier instead
-///                            of wire chaos (--seed/--packets/--injections);
-///                            RESYNC episodes render as recovery spans
-///   --perfetto FILE          write Chrome trace-event JSON (ui.perfetto.dev)
-///   --explain ID|worst       print one packet's full causal story
-///   --dump                   print the canonical reconstruction dump
-/// Exits 1 when any delivered packet lacks a complete span tree.
-///
-/// Subcommand `serve`: run the live transport daemon (identical to the
-/// standalone `lamsdlcd` binary; flags documented in tools/daemon_opts.hpp):
-///
-///   lamsdlc_cli serve --self-peer --bridge --deliver-dir /tmp/out
-///
-/// Subcommand `connect`: push one byte stream through a daemon's client
-/// bridge — stream stdin (or --in FILE) to the bridge socket, half-close,
-/// and wait for the `OK <n>` / `ERR <why>` status line.  Exits 0 iff OK:
-///
-///   lamsdlc_cli connect --port 47101 < file.bin
-///
-/// Connect flags:
-///   --host HOST              [127.0.0.1] bridge address
-///   --port N                 bridge TCP port (required)
-///   --in FILE                [stdin] bytes to send
-///
-/// Subcommand `status`: one-shot snapshot of a live daemon's introspection
-/// port (`lamsdlcd --status`; schema in docs/OBSERVABILITY.md):
-///
-///   lamsdlc_cli status --port 47103            (one JSON line)
-///   lamsdlc_cli status --port 47103 --pretty   (rendered table)
-///   lamsdlc_cli status --port 47103 --metrics  (Prometheus exposition)
-///
-/// Status flags:
-///   --host HOST              [127.0.0.1] status address
-///   --port N                 status TCP port (required)
-///   --pretty                 server-rendered table instead of JSON
-///   --metrics                Prometheus text exposition instead of JSON
-///
-/// Subcommand `watch`: periodic sampled deltas from the same port — fetches
-/// the daemon's latest `obs::Sampler` tick each interval and prints
-/// client-side rates for counters (and levels for gauges):
-///
-///   lamsdlc_cli watch --port 47103 --interval-ms 1000
-///
-/// Watch flags:
-///   --host HOST              [127.0.0.1] status address
-///   --port N                 status TCP port (required)
-///   --interval-ms MS         [1000] fetch cadence
-///   --count N                [0] stop after N reports (0 = until killed)
-///
-/// `network --sample-ms MS` adds the same periodic registry sampling to a
-/// constellation run's capture, so `inspect --timeline` works on PDES runs;
-/// samples are synthesized on the canonical merged stream and stay
-/// byte-identical at every --partitions value.
+///   lamsdlc_cli network --sats 112 --planes 8 --partitions 4
+///   lamsdlc_cli <subcommand> --help
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "lamsdlc/analysis/model.hpp"
@@ -218,162 +49,81 @@
 #include <unistd.h>
 
 #include "daemon_opts.hpp"
+#include "flags.hpp"
 
 namespace {
 
 using namespace lamsdlc;
+using namespace lamsdlc::tools;
 
 struct Options {
   sim::ScenarioConfig cfg;
   std::uint64_t frames = 1000;
-  double horizon_s = 600;
+  Time horizon = Time::seconds_int(600);
   bool csv = false;
   bool csv_header = false;
   bool analysis = false;
 };
 
-void print_subcommands(std::FILE* to) {
-  std::fprintf(to,
-               "subcommands:\n"
-               "  chaos     replay seeded fault schedules under the invariant "
-               "checker\n"
-               "  verify    property-fuzzing + differential-oracle "
-               "verification sweep\n"
-               "  capture   run one chaos seed, record events to an .ldlcap "
-               "file\n"
-               "  inspect   decode an .ldlcap file to text, JSON or a "
-               "timeline\n"
-               "  trace     reconstruct packet span trees, attribute latency, "
-               "export Perfetto JSON\n"
-               "  serve     run the live transport daemon (same as the "
-               "lamsdlcd binary)\n"
-               "  connect   push one byte stream through a daemon's client "
-               "bridge\n"
-               "  status    one-shot snapshot of a live daemon's "
-               "introspection port\n"
-               "  watch     periodic sampled metric rates from a live "
-               "daemon\n"
-               "  network   constellation-scale multi-hop run (optionally "
-               "PDES-partitioned)\n"
-               "  (none)    run one scenario from flags and print a report\n");
-}
+constexpr std::pair<const char*, sim::Protocol> kProtocols[] = {
+    {"lams", sim::Protocol::kLams},
+    {"sr", sim::Protocol::kSrHdlc},
+    {"gbn", sim::Protocol::kGbnHdlc},
+    {"nbdt", sim::Protocol::kNbdt}};
 
-void print_help() {
-  std::printf(
-      "usage: lamsdlc_cli [subcommand] [flags]\n"
-      "\n"
-      "Simulates the LAMS-DLC ARQ protocol (and HDLC/NBDT baselines) over a\n"
-      "faulty link.  With no subcommand, runs one scenario and prints a\n"
-      "report (or a CSV row with --csv).\n"
-      "\n");
-  print_subcommands(stdout);
-  std::printf(
-      "\n"
-      "Run `lamsdlc_cli <subcommand> --help` for that subcommand's flags;\n"
-      "the header of tools/lamsdlc_cli.cpp documents every flag.\n");
-}
-
-[[noreturn]] void usage_error(const std::string& what) {
-  std::fprintf(stderr, "lamsdlc_cli: %s (see the header of tools/lamsdlc_cli.cpp)\n",
-               what.c_str());
-  std::exit(2);
-}
-
-/// The value of numeric flag \p flag: all of \p text must be one number of
-/// type T — no sign for unsigned fields, finite for floating point.
-template <class T>
-T parse_number(std::string_view flag, std::string_view text) {
-  T v{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  bool ok = !text.empty() && ec == std::errc{} && ptr == end;
-  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
-  if (!ok) {
-    usage_error("bad value for " + std::string(flag) + ": '" +
-                std::string(text) + "'");
+const char* protocol_name(sim::Protocol p) {
+  for (const auto& [name, q] : kProtocols) {
+    if (q == p) return name;
   }
-  return v;
+  return "?";
 }
 
-double parse_probability(std::string_view flag, std::string_view text) {
-  const double p = parse_number<double>(flag, text);
-  if (p < 0 || p > 1) usage_error(std::string(flag) + " must be in [0, 1]");
-  return p;
-}
-
-Options parse(int argc, char** argv) {
+Options parse(const Command& cmd, int argc, char** argv) {
   Options o;
-  double pf = 0, pc = 0, ber = -1, burst_ms = -1;
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--protocol") {
-      const std::string v = need(i);
-      if (v == "lams") {
-        o.cfg.protocol = sim::Protocol::kLams;
-      } else if (v == "sr") {
-        o.cfg.protocol = sim::Protocol::kSrHdlc;
-      } else if (v == "gbn") {
-        o.cfg.protocol = sim::Protocol::kGbnHdlc;
-      } else if (v == "nbdt") {
-        o.cfg.protocol = sim::Protocol::kNbdt;
-      } else {
-        usage_error("unknown protocol " + v);
-      }
-    } else if (a == "--rate") {
-      o.cfg.data_rate_bps = parse_number<double>(a, need(i));
-    } else if (a == "--delay-ms") {
-      o.cfg.prop_delay = Time::seconds(parse_number<double>(a, need(i)) * 1e-3);
-    } else if (a == "--frame-bytes") {
-      o.cfg.frame_bytes = parse_number<std::uint32_t>(a, need(i));
-    } else if (a == "--frames") {
-      o.frames = parse_number<std::uint64_t>(a, need(i));
-    } else if (a == "--pf") {
-      pf = parse_probability(a, need(i));
-    } else if (a == "--pc") {
-      pc = parse_probability(a, need(i));
-    } else if (a == "--ber") {
-      ber = parse_probability(a, need(i));
-    } else if (a == "--burst-ms") {
-      burst_ms = parse_number<double>(a, need(i));
-    } else if (a == "--icp-ms") {
-      o.cfg.lams.checkpoint_interval =
-          Time::seconds(parse_number<double>(a, need(i)) * 1e-3);
-    } else if (a == "--cdepth") {
-      o.cfg.lams.cumulation_depth = parse_number<std::uint32_t>(a, need(i));
-    } else if (a == "--window") {
-      o.cfg.hdlc.window = parse_number<std::uint32_t>(a, need(i));
-      o.cfg.hdlc.modulus = 4 * o.cfg.hdlc.window;
-    } else if (a == "--timeout-ms") {
-      o.cfg.hdlc.timeout =
-          Time::seconds(parse_number<double>(a, need(i)) * 1e-3);
-    } else if (a == "--seed") {
-      o.cfg.seed = parse_number<std::uint64_t>(a, need(i));
-    } else if (a == "--byte-level") {
-      o.cfg.byte_level_wire = true;
-    } else if (a == "--horizon-s") {
-      o.horizon_s = parse_number<double>(a, need(i));
-    } else if (a == "--csv") {
-      o.csv = true;
-    } else if (a == "--csv-header") {
-      o.csv = true;
-      o.csv_header = true;
-    } else if (a == "--analysis") {
-      o.analysis = true;
-    } else {
-      usage_error("unknown flag " + a);
-    }
-  }
+  sim::ScenarioConfig& c = o.cfg;
+  double pf = 0, pc = 0, ber = -1;
+  Time burst{};
+  const Flags flags = {
+      {"--protocol", "lams|sr|gbn|nbdt", "protocol under test",
+       protocol_name(c.protocol),
+       [&c](std::string_view t) {
+         for (const auto& [name, p] : kProtocols) {
+           if (t == name) c.protocol = p;
+         }
+         return t == protocol_name(c.protocol) ? nullptr : kMalformed;
+       }},
+      {"--rate", "BPS", "link data rate", c.data_rate_bps, kPositive},
+      {"--delay-ms", "MS", "one-way propagation delay", c.prop_delay, 1e-3},
+      {"--frame-bytes", "B", "frame size", c.frame_bytes},
+      {"--frames", "N", "batch size", o.frames},
+      {"--pf", "P", "I-frame error probability", pf, kProbability},
+      {"--pc", "P", "control-frame error probability", pc, kProbability},
+      {"--ber", "B", "bit error rate (-1 = use --pf/--pc)", ber, kProbability},
+      {"--burst-ms", "MS", "Gilbert-Elliott mean burst (0 = none)", burst, 1e-3},
+      {"--icp-ms", "MS", "LAMS checkpoint interval W_cp",
+       c.lams.checkpoint_interval, 1e-3},
+      {"--cdepth", "K", "LAMS cumulation depth C_depth",
+       c.lams.cumulation_depth},
+      Flag{"--window", "W", "HDLC window (modulus becomes 4 W)", c.hdlc.window,
+           kPositive}
+          .also([&c] { c.hdlc.modulus = 4 * c.hdlc.window; }),
+      {"--timeout-ms", "MS", "HDLC t_out", c.hdlc.timeout, 1e-3},
+      {"--seed", "S", "random seed", c.seed},
+      {"--byte-level", "send frames through the real codec", c.byte_level_wire},
+      {"--horizon-s", "S", "simulated-time limit", o.horizon, 1.0},
+      {"--csv", "emit one CSV row instead of the report", o.csv},
+      Flag{"--csv-header", "--csv with a header row", o.csv_header}.also(
+          [&o] { o.csv = true; }),
+      {"--analysis", "also print the Section 4 closed forms", o.analysis}};
+  parse_flags(cmd, flags, argc, argv, 1);
+  if (c.hdlc.window >= 1u << 30) usage_error(cmd, "--window must be < 2^30");
   if (ber >= 0) {
     o.cfg.forward_error.kind = sim::ErrorConfig::Kind::kBernoulliBer;
     o.cfg.forward_error.ber = ber;
     o.cfg.reverse_error = o.cfg.forward_error;
-  } else if (burst_ms > 0) {
+  } else if (burst > Time{}) {
     o.cfg.forward_error.kind = sim::ErrorConfig::Kind::kGilbertElliott;
-    o.cfg.forward_error.gilbert.mean_bad = Time::seconds(burst_ms * 1e-3);
+    o.cfg.forward_error.gilbert.mean_bad = burst;
     o.cfg.reverse_error = o.cfg.forward_error;
   } else if (pf > 0 || pc > 0) {
     o.cfg.forward_error.kind = sim::ErrorConfig::Kind::kFixedFrameProb;
@@ -388,83 +138,55 @@ Options parse(int argc, char** argv) {
   return o;
 }
 
-const char* protocol_name(sim::Protocol p) {
-  switch (p) {
-    case sim::Protocol::kLams:
-      return "lams";
-    case sim::Protocol::kSrHdlc:
-      return "sr";
-    case sim::Protocol::kGbnHdlc:
-      return "gbn";
-    case sim::Protocol::kNbdt:
-      return "nbdt";
-  }
-  return "?";
-}
-
-/// Parse one chaos-style flag at argv[i]; shared between `chaos` and
-/// `capture`.  Returns false when the flag is not a chaos knob.
-bool parse_chaos_flag(int argc, char** argv, int& i, sim::ChaosKnobs& knobs) {
-  auto need = [&](int& j) -> const char* {
-    if (j + 1 >= argc) usage_error(std::string("missing value for ") + argv[j]);
-    return argv[++j];
-  };
-  const std::string a = argv[i];
-  if (a == "--help" || a == "-h") {
-    std::printf("flags for this subcommand: see the header of "
-                "tools/lamsdlc_cli.cpp\n");
-    std::exit(0);
-  }
-  if (a == "--seed") {
-    knobs.seed = static_cast<std::uint64_t>(std::atoll(need(i)));
-  } else if (a == "--packets") {
-    knobs.packets = static_cast<std::uint64_t>(std::atoll(need(i)));
-  } else if (a == "--reverse-only") {
-    knobs.allow_forward_faults = false;
-  } else if (a == "--forward-only") {
-    knobs.allow_reverse_faults = false;
-  } else if (a == "--no-outage") {
-    knobs.allow_link_outage = false;
-  } else if (a == "--no-suppress-duplicates") {
-    knobs.suppress_duplicates = false;
-  } else if (a == "--reverse-noise") {
-    knobs.reverse_noise = std::atof(need(i));
-  } else if (a == "--reverse-outage-from-ms") {
-    knobs.reverse_outage_from = Time::seconds(std::atof(need(i)) * 1e-3);
-  } else if (a == "--reverse-outage-ms") {
-    knobs.reverse_outage_len = Time::seconds(std::atof(need(i)) * 1e-3);
-  } else if (a == "--self-heal") {
-    knobs.self_heal = true;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-int run_chaos_command(int argc, char** argv) {
-  sim::ChaosKnobs knobs;
+/// `--seeds/--jobs`: how many consecutive seeds a sweep runs, on how many
+/// worker threads (output is identical whatever --jobs is).
+struct Sweep {
   std::uint64_t seeds = 1;
   unsigned jobs = 1;
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (parse_chaos_flag(argc, argv, i, knobs)) continue;
-    if (a == "--seeds") {
-      seeds = static_cast<std::uint64_t>(std::atoll(need(i)));
-    } else if (a == "--jobs") {
-      jobs = static_cast<unsigned>(std::atoi(need(i)));  // 0 = all cores
-    } else {
-      usage_error("unknown chaos flag " + a);
-    }
-  }
+};
+
+Flags seed_flag(std::uint64_t& seed) {
+  return {{"--seed", "S", "first (or only) seed", seed}};
+}
+
+Flags sweep_flags(std::uint64_t& seed, Sweep& sweep) {
+  const Flags flags = {
+      {"--seeds", "N", "consecutive seeds to run", sweep.seeds, kPositive},
+      {"--jobs", "N", "worker threads (0 = all cores)", sweep.jobs}};
+  return seed_flag(seed) + flags;
+}
+
+/// The `sim::ChaosKnobs` flags shared by `chaos`, `capture` and `trace`.
+Flags chaos_flags(sim::ChaosKnobs& k) {
+  return {
+      {"--packets", "N", "workload size per run", k.packets},
+      {"--reverse-only", "faults hit checkpoints only", k.allow_forward_faults,
+       false},
+      {"--forward-only", "faults hit I-frames only", k.allow_reverse_faults,
+       false},
+      {"--no-outage", "no full link outages", k.allow_link_outage, false},
+      {"--no-suppress-duplicates", "ablation: receiver delivers stale frames",
+       k.suppress_duplicates, false},
+      {"--reverse-noise", "P", "pin the checkpoint-path error (-1 = drawn)",
+       k.reverse_noise},
+      {"--reverse-outage-from-ms", "MS", "start of a reverse-only outage",
+       k.reverse_outage_from, 1e-3},
+      {"--reverse-outage-ms", "MS", "its length (I-frames still flow)",
+       k.reverse_outage_len, 1e-3},
+      {"--self-heal", "enable self-audit, watchdog and RESYNC", k.self_heal}};
+}
+
+int run_chaos_command(const Command& cmd, int argc, char** argv) {
+  sim::ChaosKnobs knobs;
+  Sweep sweep;
+  parse_flags(cmd, sweep_flags(knobs.seed, sweep) + chaos_flags(knobs), argc,
+              argv, 2);
+  const std::uint64_t seeds = sweep.seeds;
 
   // Seeds are independent simulations; the sweep returns verdicts in seed
   // order, so the output below is identical whatever --jobs is.
   const std::vector<sim::ChaosVerdict> verdicts =
-      sim::run_chaos_sweep(knobs, knobs.seed, seeds, jobs);
+      sim::run_chaos_sweep(knobs, knobs.seed, seeds, sweep.jobs);
 
   std::uint64_t violated = 0;
   for (std::uint64_t s = knobs.seed; s < knobs.seed + seeds; ++s) {
@@ -496,55 +218,37 @@ int run_chaos_command(int argc, char** argv) {
   return violated == 0 ? 0 : 1;
 }
 
-/// `verify --corrupt-state`: the state-corruption chaos tier.  Seeded
-/// corruption schedules mutate live endpoint state mid-run; the verdict is
-/// the self-stabilization contract (converge within the recovery budget or
-/// tear down cleanly).  Failing seeds shrink and print a repro line.
-int run_corrupt_state_command(int argc, char** argv) {
+/// `verify --corrupt-state`: the state-corruption chaos tier.
+int run_corrupt_state_command(const Command& verify, int argc, char** argv) {
+  const Command cmd{
+      verify.prog + " --corrupt-state",
+      "State-corruption chaos tier: seeded injections mutate live endpoint\n"
+      "state mid-run (counters, slots, NAK history, cadence timers,\n"
+      "anchors).  Each run must converge to invariant-clean steady state\n"
+      "within the recovery budget, or tear down through the bounded-retry\n"
+      "RESYNC path.  Failing seeds shrink and print a repro line."};
   verif::CorruptKnobs knobs;
-  std::uint64_t seeds = 1;
-  unsigned jobs = 1;
+  Sweep sweep;
   bool repro = false;
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--corrupt-state") continue;
-    if (a == "--help" || a == "-h") {
-      std::printf("flags for this subcommand: see the header of "
-                  "tools/lamsdlc_cli.cpp\n");
-      return 0;
-    }
-    if (a == "--seed") {
-      knobs.seed = static_cast<std::uint64_t>(std::atoll(need(i)));
-    } else if (a == "--seeds") {
-      seeds = static_cast<std::uint64_t>(std::atoll(need(i)));
-    } else if (a == "--jobs") {
-      jobs = static_cast<unsigned>(std::atoi(need(i)));  // 0 = all cores
-    } else if (a == "--packets") {
-      knobs.packets = static_cast<std::uint64_t>(std::atoll(need(i)));
-    } else if (a == "--injections") {
-      knobs.injections = static_cast<std::uint32_t>(std::atoi(need(i)));
-    } else if (a == "--no-sender") {
-      knobs.allow_sender = false;
-    } else if (a == "--no-receiver") {
-      knobs.allow_receiver = false;
-    } else if (a == "--no-state-loss") {
-      knobs.allow_state_loss = false;
-    } else if (a == "--no-noise") {
-      knobs.background_noise = false;
-    } else if (a == "--no-self-heal") {
-      knobs.self_heal = false;
-    } else if (a == "--fault-scale") {
-      knobs.scale = std::atof(need(i));
-    } else if (a == "--repro") {
-      repro = true;
-    } else {
-      usage_error("unknown verify --corrupt-state flag " + a);
-    }
-  }
+  bool corrupt_state = true;  // run_verify_command dispatched on it already
+  const Flags flags = {
+      {"--corrupt-state", "select this tier", corrupt_state},
+      {"--packets", "N", "workload size per run", knobs.packets},
+      {"--injections", "N", "pin the injection count (0 = draw 1..4)",
+       knobs.injections},
+      {"--no-sender", "never corrupt the sender", knobs.allow_sender, false},
+      {"--no-receiver", "never corrupt the receiver", knobs.allow_receiver,
+       false},
+      {"--no-state-loss", "never destroy an in-flight slot",
+       knobs.allow_state_loss, false},
+      {"--no-noise", "no background wire noise", knobs.background_noise, false},
+      {"--no-self-heal", "ablation: self-audit/watchdog/RESYNC off",
+       knobs.self_heal, false},
+      {"--fault-scale", "X", "warp-magnitude multiplier (shrinker)",
+       knobs.scale},
+      {"--repro", "print one seed's transcript verbatim", repro}};
+  parse_flags(cmd, sweep_flags(knobs.seed, sweep) + flags, argc, argv, 2);
+  const std::uint64_t seeds = sweep.seeds;
 
   if (repro || seeds == 1) {
     const verif::CorruptVerdict v = verif::run_corrupt(knobs);
@@ -553,7 +257,7 @@ int run_corrupt_state_command(int argc, char** argv) {
   }
 
   const std::vector<verif::CorruptVerdict> verdicts =
-      verif::run_corrupt_sweep(knobs, knobs.seed, seeds, jobs);
+      verif::run_corrupt_sweep(knobs, knobs.seed, seeds, sweep.jobs);
   std::uint64_t failed = 0, converged = 0, torn_down = 0, resyncs = 0;
   for (const verif::CorruptVerdict& v : verdicts) {
     converged += v.converged ? 1 : 0;
@@ -576,64 +280,37 @@ int run_corrupt_state_command(int argc, char** argv) {
   return failed == 0 ? 0 : 1;
 }
 
-int run_verify_command(int argc, char** argv) {
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--corrupt-state") == 0) {
-      return run_corrupt_state_command(argc, argv);
-    }
+int run_verify_command(const Command& cmd, int argc, char** argv) {
+  if (std::find(argv + 2, argv + argc, std::string_view{"--corrupt-state"}) !=
+      argv + argc) {
+    return run_corrupt_state_command(cmd, argc, argv);
   }
   verif::VerifyKnobs knobs;
-  std::uint64_t seeds = 1;
-  unsigned jobs = 1;
+  Sweep sweep;
   std::uint64_t fuzz_iters = 10000;
   bool repro = false;
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--help" || a == "-h") {
-      std::printf("flags for this subcommand: see the header of "
-                  "tools/lamsdlc_cli.cpp\n");
-      return 0;
-    }
-    if (a == "--seed") {
-      knobs.seed = static_cast<std::uint64_t>(std::atoll(need(i)));
-    } else if (a == "--seeds") {
-      seeds = static_cast<std::uint64_t>(std::atoll(need(i)));
-    } else if (a == "--jobs") {
-      jobs = static_cast<unsigned>(std::atoi(need(i)));  // 0 = all cores
-    } else if (a == "--fuzz") {
-      fuzz_iters = static_cast<std::uint64_t>(std::atoll(need(i)));
-    } else if (a == "--modulus") {
-      knobs.modulus = static_cast<std::uint32_t>(std::atoi(need(i)));
-    } else if (a == "--cdepth") {
-      knobs.c_depth = static_cast<std::uint32_t>(std::atoi(need(i)));
-    } else if (a == "--packets") {
-      knobs.packets = static_cast<std::uint64_t>(std::atoll(need(i)));
-    } else if (a == "--fault-scale") {
-      knobs.fault_scale = std::atof(need(i));
-    } else if (a == "--no-faults") {
-      knobs.faults = false;
-    } else if (a == "--no-congestion") {
-      knobs.congestion = false;
-    } else if (a == "--no-outage") {
-      knobs.outage = false;
-    } else if (a == "--no-reverse") {
-      knobs.reverse_faults = false;
-    } else if (a == "--no-byte-level") {
-      knobs.byte_level = false;
-    } else if (a == "--no-differential") {
-      knobs.differential = false;
-    } else if (a == "--no-analysis") {
-      knobs.analysis_check = false;
-    } else if (a == "--repro") {
-      repro = true;
-    } else {
-      usage_error("unknown verify flag " + a);
-    }
-  }
+  const Flags flags = {
+      {"--fuzz", "N", "codec fuzz iterations (0 disables)", fuzz_iters},
+      {"--modulus", "M", "pin the numbering size (0 = draw)", knobs.modulus},
+      {"--cdepth", "C", "pin the cumulation depth (0 = draw)", knobs.c_depth},
+      {"--packets", "P", "pin the workload size (0 = draw)", knobs.packets},
+      {"--no-faults", "no windowed fault episodes", knobs.faults, false},
+      {"--no-congestion", "no small buffers / slow t_proc", knobs.congestion,
+       false},
+      {"--no-outage", "no full link outages", knobs.outage, false},
+      {"--no-reverse", "no checkpoint-channel episodes", knobs.reverse_faults,
+       false},
+      {"--no-byte-level", "never draw byte-level wire mode", knobs.byte_level,
+       false},
+      {"--no-differential", "skip the SR/GBN differential legs",
+       knobs.differential, false},
+      {"--no-analysis", "skip the model-vs-sim check", knobs.analysis_check,
+       false},
+      {"--fault-scale", "X", "scale fault windows (shrinker output)",
+       knobs.fault_scale},
+      {"--repro", "one seed, full transcript, no shrinking", repro}};
+  parse_flags(cmd, sweep_flags(knobs.seed, sweep) + flags, argc, argv, 2);
+  const std::uint64_t seeds = sweep.seeds;
 
   if (repro) {
     // Exact single-run replay: no shrinking, full transcript either way.
@@ -656,7 +333,7 @@ int run_verify_command(int argc, char** argv) {
     if (!fr.ok()) failed += fr.failures.size();
   }
 
-  const sim::ParallelSweep pool{jobs};
+  const sim::ParallelSweep pool{sweep.jobs};
   const auto verdicts = pool.map<verif::VerifyVerdict>(
       static_cast<std::size_t>(seeds), [&knobs](std::size_t i) {
         verif::VerifyKnobs k = knobs;
@@ -684,24 +361,15 @@ int run_verify_command(int argc, char** argv) {
   return failed == 0 ? 0 : 1;
 }
 
-int run_capture_command(int argc, char** argv) {
+int run_capture_command(const Command& cmd, int argc, char** argv) {
   sim::ChaosKnobs knobs;
   std::string out;
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (parse_chaos_flag(argc, argv, i, knobs)) continue;
-    if (a == "--out") {
-      out = need(i);
-    } else if (a == "--sample-ms") {
-      knobs.sample_period = Time::seconds(std::atof(need(i)) * 1e-3);
-    } else {
-      usage_error("unknown capture flag " + a);
-    }
-  }
+  const Flags flags = {
+      {"--out", "FILE", "capture path (empty = chaos-seed-S.ldlcap)", out},
+      {"--sample-ms", "MS", "registry snapshot cadence (0 = off)",
+       knobs.sample_period, 1e-3}};
+  parse_flags(cmd, seed_flag(knobs.seed) + chaos_flags(knobs) + flags, argc,
+              argv, 2);
   if (out.empty()) {
     out = "chaos-seed-" + std::to_string(knobs.seed) + ".ldlcap";
   }
@@ -870,57 +538,39 @@ void print_timeline(const std::vector<obs::Event>& events, double bucket_ms) {
   }
 }
 
-int run_inspect_command(int argc, char** argv) {
+int run_inspect_command(const Command& cmd, int argc, char** argv) {
   std::string file;
   bool json = false, summary = false, timeline = false;
   std::optional<obs::EventKind> kind;
   std::optional<obs::Source> source;
   double from_ms = -1, to_ms = -1, bucket_ms = 0;
   std::uint64_t limit = 0;
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--help" || a == "-h") {
-      std::printf("flags for this subcommand: see the header of "
-                  "tools/lamsdlc_cli.cpp\n");
-      return 0;
-    }
-    if (a == "--json") {
-      json = true;
-    } else if (a == "--summary") {
-      summary = true;
-    } else if (a == "--timeline") {
-      timeline = true;
-    } else if (a == "--bucket-ms") {
-      bucket_ms = std::atof(need(i));
-      if (bucket_ms <= 0) usage_error("--bucket-ms must be positive");
-    } else if (a == "--kind") {
-      const std::string v = need(i);
-      kind = obs::kind_from_string(v);
-      if (!kind) usage_error("unknown event kind " + v);
-    } else if (a == "--source") {
-      const std::string v = need(i);
-      source = obs::source_from_string(v);
-      if (!source) usage_error("unknown source " + v);
-    } else if (a == "--from-ms") {
-      from_ms = std::atof(need(i));
-    } else if (a == "--to-ms") {
-      to_ms = std::atof(need(i));
-    } else if (a == "--limit") {
-      limit = static_cast<std::uint64_t>(std::atoll(need(i)));
-    } else if (!a.empty() && a[0] != '-' && file.empty()) {
-      file = a;
-    } else {
-      usage_error("unknown inspect flag " + a);
-    }
-  }
-  if (file.empty()) usage_error("inspect needs a capture file argument");
+  const Flags flags = {
+      {"FILE", "", "the .ldlcap capture to decode (required)", file},
+      {"--json", "one JSON object per record (default: text)", json},
+      {"--summary", "per-kind/per-source counts only", summary},
+      {"--timeline", "time-bucketed rate/occupancy table", timeline},
+      {"--bucket-ms", "MS", "timeline bucket width (0 = span/20, >= 1)",
+       bucket_ms, kPositive},
+      {"--kind", "NAME", "keep only this event kind", "",
+       [&kind](std::string_view t) {
+         kind = obs::kind_from_string(t);
+         return kind ? nullptr : kMalformed;
+       }},
+      {"--source", "NAME", "keep only this source (e.g. lams.sender)", "",
+       [&source](std::string_view t) {
+         source = obs::source_from_string(t);
+         return source ? nullptr : kMalformed;
+       }},
+      {"--from-ms", "MS", "keep t >= MS (-1 = no bound)", from_ms},
+      {"--to-ms", "MS", "keep t < MS (-1 = no bound)", to_ms},
+      {"--limit", "N", "stop after printing N records (0 = all)", limit}};
+  parse_flags(cmd, flags, argc, argv, 2);
+  if (file.empty()) usage_error(cmd, "a capture FILE is required");
   if (from_ms >= 0 && to_ms >= 0 && from_ms > to_ms) {
-    usage_error("empty time filter: --from-ms " + std::to_string(from_ms) +
-                " is after --to-ms " + std::to_string(to_ms));
+    usage_error(cmd, "empty time filter: --from-ms " +
+                         std::to_string(from_ms) + " is after --to-ms " +
+                         std::to_string(to_ms));
   }
 
   std::ifstream is{file, std::ios::binary};
@@ -995,46 +645,36 @@ int run_inspect_command(int argc, char** argv) {
   return 0;
 }
 
-int run_trace_command(int argc, char** argv) {
+int run_trace_command(const Command& cmd, int argc, char** argv) {
   sim::ChaosKnobs knobs;
   std::string file, perfetto_out, explain_arg;
+  std::uint64_t explain_id = 0;
   bool dump = false;
   bool live_flags = false;
   bool corrupt_state = false;
   std::uint32_t corrupt_injections = 0;
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (parse_chaos_flag(argc, argv, i, knobs)) {
-      live_flags = true;
-      continue;
-    }
-    if (a == "--corrupt-state") {
-      corrupt_state = true;
-      live_flags = true;
-    } else if (a == "--injections") {
-      corrupt_injections = static_cast<std::uint32_t>(std::atoi(need(i)));
-      live_flags = true;
-    } else if (a == "--sample-ms") {
-      knobs.sample_period = Time::seconds(std::atof(need(i)) * 1e-3);
-      live_flags = true;
-    } else if (a == "--perfetto") {
-      perfetto_out = need(i);
-    } else if (a == "--explain") {
-      explain_arg = need(i);
-    } else if (a == "--dump") {
-      dump = true;
-    } else if (!a.empty() && a[0] != '-' && file.empty()) {
-      file = a;
-    } else {
-      usage_error("unknown trace flag " + a);
-    }
-  }
+  Flags live = seed_flag(knobs.seed) + chaos_flags(knobs) + Flags{
+      {"--sample-ms", "MS", "registry snapshot cadence (0 = off)",
+       knobs.sample_period, 1e-3},
+      {"--corrupt-state", "run the state-corruption tier instead",
+       corrupt_state},
+      {"--injections", "N", "corrupt-state injections (0 = draw)",
+       corrupt_injections}};
+  for (Flag& f : live) f.also([&live_flags] { live_flags = true; });
+  const Flags flags = {
+      {"--perfetto", "FILE", "write Chrome trace-event JSON", perfetto_out},
+      {"--explain", "ID|worst", "print one packet's causal story", "",
+       [&](std::string_view t) {
+         explain_arg = t;
+         return t == "worst" || read_number(t, explain_id) ? nullptr
+                                                          : kMalformed;
+       }},
+      {"--dump", "print the canonical reconstruction dump", dump}};
+  const Flags capture = {
+      {"FILE", "", "an .ldlcap capture, instead of a live run", file}};
+  parse_flags(cmd, capture + live + flags, argc, argv, 2);
   if (!file.empty() && live_flags) {
-    usage_error("trace takes a capture file OR live chaos flags, not both");
+    usage_error(cmd, "give a capture FILE or live-run flags, not both");
   }
 
   obs::TraceBuilder tb;
@@ -1126,9 +766,7 @@ int run_trace_command(int argc, char** argv) {
 
   if (!explain_arg.empty()) {
     const obs::PacketTrace* t =
-        explain_arg == "worst"
-            ? tb.worst()
-            : tb.find(static_cast<std::uint64_t>(std::atoll(explain_arg.c_str())));
+        explain_arg == "worst" ? tb.worst() : tb.find(explain_id);
     if (t == nullptr) {
       std::fprintf(stderr, "lamsdlc_cli: no trace for packet '%s'\n",
                    explain_arg.c_str());
@@ -1156,33 +794,52 @@ int run_trace_command(int argc, char** argv) {
 // ---------------------------------------------------------------------------
 // `connect` — bridge client (modem discipline: stream, half-close, status).
 
-int run_connect_command(int argc, char** argv) {
+/// Where a daemon client connects; `--host/--port` for `connect`, `status`
+/// and `watch`.
+struct Endpoint {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
-  std::string in_path;
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--host") {
-      host = need(i);
-    } else if (a == "--port") {
-      port = static_cast<std::uint16_t>(std::atoi(need(i)));
-    } else if (a == "--in") {
-      in_path = need(i);
-    } else if (a == "--help" || a == "-h") {
-      std::printf(
-          "usage: lamsdlc_cli connect --port N [--host HOST] [--in FILE]\n"
-          "Streams stdin (or FILE) to a daemon's bridge, half-closes, and\n"
-          "waits for the OK/ERR status line.  Exits 0 iff OK.\n");
-      return 0;
-    } else {
-      usage_error("unknown connect flag " + a);
+
+  /// A TCP connection to the daemon, or -1 with errno set.
+  [[nodiscard]] int dial() const {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    ::inet_pton(AF_INET, host.c_str(), &addr.sin_addr);  // checked by --host
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0 ||
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0) {
+      return fd;
     }
+    const int err = errno;
+    ::close(fd);
+    errno = err;
+    return -1;
   }
-  if (port == 0) usage_error("connect wants --port");
+};
+
+Endpoint parse_endpoint(const Command& cmd, const Flags& more, int argc,
+                        char** argv) {
+  Endpoint e;
+  const Flags flags = {
+      {"--host", "ADDR", "daemon IPv4 address", e.host,
+       [&e](std::string_view t) {
+         in_addr addr{};
+         e.host = t;
+         return ::inet_pton(AF_INET, e.host.c_str(), &addr) == 1 ? nullptr
+                                                                 : kMalformed;
+       }},
+      {"--port", "N", "daemon TCP port (required)", e.port}};
+  parse_flags(cmd, flags + more, argc, argv, 2);
+  if (e.port == 0) usage_error(cmd, "--port is required");
+  return e;
+}
+
+int run_connect_command(const Command& cmd, int argc, char** argv) {
+  std::string in_path;
+  const Endpoint bridge = parse_endpoint(
+      cmd, {{"--in", "FILE", "bytes to send (empty = stdin)", in_path}}, argc,
+      argv);
 
   std::FILE* in = stdin;
   if (!in_path.empty()) {
@@ -1193,22 +850,9 @@ int run_connect_command(int argc, char** argv) {
     }
   }
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = bridge.dial();
   if (fd < 0) {
-    std::perror("lamsdlc_cli: socket");
-    return 1;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    std::fprintf(stderr, "lamsdlc_cli: bad bridge host %s\n", host.c_str());
-    ::close(fd);
-    return 1;
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
     std::perror("lamsdlc_cli: connect");
-    ::close(fd);
     return 1;
   }
   signal(SIGPIPE, SIG_IGN);
@@ -1259,24 +903,16 @@ int run_connect_command(int argc, char** argv) {
 
 /// One request/response exchange with a status port: send \p verb, read to
 /// EOF (the daemon answers one line-delimited request per connection and
-/// closes).  Empty optional on connect/transport failure.
-std::optional<std::string> fetch_status(const std::string& host,
-                                        std::uint16_t port,
+/// closes).  Empty optional, reported on stderr, on connect/send failure.
+std::optional<std::string> fetch_status(const Endpoint& e,
                                         const std::string& verb) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return std::nullopt;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    return std::nullopt;
-  }
   const std::string req = verb + "\n";
-  if (::send(fd, req.data(), req.size(), 0) !=
-      static_cast<ssize_t>(req.size())) {
-    ::close(fd);
+  const int fd = e.dial();
+  if (fd < 0 || ::send(fd, req.data(), req.size(), 0) !=
+                    static_cast<ssize_t>(req.size())) {
+    if (fd >= 0) ::close(fd);
+    std::fprintf(stderr, "lamsdlc_cli: cannot reach status port %s:%u\n",
+                 e.host.c_str(), e.port);
     return std::nullopt;
   }
   std::string out;
@@ -1291,42 +927,16 @@ std::optional<std::string> fetch_status(const std::string& host,
   return out;
 }
 
-int run_status_command(int argc, char** argv) {
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;
+int run_status_command(const Command& cmd, int argc, char** argv) {
   std::string verb = "status";
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--host") {
-      host = need(i);
-    } else if (a == "--port") {
-      port = static_cast<std::uint16_t>(std::atoi(need(i)));
-    } else if (a == "--pretty") {
-      verb = "text";
-    } else if (a == "--metrics") {
-      verb = "metrics";
-    } else if (a == "--help" || a == "-h") {
-      std::printf(
-          "usage: lamsdlc_cli status --port N [--host HOST] "
-          "[--pretty|--metrics]\n"
-          "One-shot snapshot of a live daemon's introspection port\n"
-          "(lamsdlcd --status).  Default output is one JSON line.\n");
-      return 0;
-    } else {
-      usage_error("unknown status flag " + a);
-    }
-  }
-  if (port == 0) usage_error("status wants --port");
-  const auto resp = fetch_status(host, port, verb);
-  if (!resp.has_value()) {
-    std::fprintf(stderr, "lamsdlc_cli: cannot reach status port %s:%u\n",
-                 host.c_str(), port);
-    return 1;
-  }
+  const Endpoint status = parse_endpoint(
+      cmd,
+      {{"--pretty", "server-rendered table instead of JSON", verb, "text"},
+       {"--metrics", "Prometheus text exposition instead of JSON", verb,
+        "metrics"}},
+      argc, argv);
+  const auto resp = fetch_status(status, verb);
+  if (!resp.has_value()) return 1;
   std::fwrite(resp->data(), 1, resp->size(), stdout);
   return 0;
 }
@@ -1351,51 +961,23 @@ std::optional<std::string> json_field(const std::string& line,
   return line.substr(v, end - v);
 }
 
-int run_watch_command(int argc, char** argv) {
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;
+int run_watch_command(const Command& cmd, int argc, char** argv) {
   long interval_ms = 1000;
-  long count = 0;
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--host") {
-      host = need(i);
-    } else if (a == "--port") {
-      port = static_cast<std::uint16_t>(std::atoi(need(i)));
-    } else if (a == "--interval-ms") {
-      interval_ms = std::atol(need(i));
-      if (interval_ms <= 0) usage_error("--interval-ms must be positive");
-    } else if (a == "--count") {
-      count = std::atol(need(i));
-    } else if (a == "--help" || a == "-h") {
-      std::printf(
-          "usage: lamsdlc_cli watch --port N [--host HOST] "
-          "[--interval-ms MS] [--count N]\n"
-          "Fetches the daemon's latest sampler tick each interval and prints\n"
-          "counter rates (computed client-side) and gauge levels.\n");
-      return 0;
-    } else {
-      usage_error("unknown watch flag " + a);
-    }
-  }
-  if (port == 0) usage_error("watch wants --port");
+  std::uint64_t count = 0;
+  const Endpoint status = parse_endpoint(
+      cmd,
+      {{"--interval-ms", "MS", "fetch cadence", interval_ms, kPositive},
+       {"--count", "N", "stop after N reports (0 = until killed)", count}},
+      argc, argv);
 
   // name -> value at the previous *sampler* tick; rates divide by sampler
   // tick spacing (t_ps delta), not our fetch interval — the two cadences
   // are independent and only the former is exact.
   std::map<std::string, double> prev;
   double prev_t_s = -1.0;
-  for (long n = 0; count == 0 || n < count;) {
-    const auto resp = fetch_status(host, port, "samples");
-    if (!resp.has_value()) {
-      std::fprintf(stderr, "lamsdlc_cli: cannot reach status port %s:%u\n",
-                   host.c_str(), port);
-      return 1;
-    }
+  for (std::uint64_t n = 0; count == 0 || n < count;) {
+    const auto resp = fetch_status(status, "samples");
+    if (!resp.has_value()) return 1;
     double t_s = -1.0;
     std::map<std::string, std::pair<double, bool>> tick;  // name -> (v, ctr)
     std::size_t start = 0;
@@ -1447,96 +1029,43 @@ int run_watch_command(int argc, char** argv) {
 
 // ---------------------------------------------------------------------------
 // `network`: Walker-constellation multi-hop run via sim::run_network.
-//
-//   lamsdlc_cli network --sats 112 --planes 8 --partitions 4
-//       --waves 20 --packets-per-wave 100 --horizon-s 600 --seed 1
-//
-// Flags (defaults in brackets):
-//   --sats N              [112]   Walker total satellites
-//   --planes P            [8]     Walker planes (sats % planes == 0)
-//   --partitions K        [1]     PDES logical processes (1 = serial)
-//   --waves W             [20]    traffic bursts
-//   --packets-per-wave N  [100]   packets per burst
-//   --packet-bytes B      [1024]
-//   --message-segments S  [0]     also inject one S-segment message per wave
-//   --wave-interval-ms MS [1000]
-//   --horizon-s S         [600]
-//   --max-range-km KM     [8000]  ISL acquisition range (smaller => churn)
-//   --seed S              [1]
-//   --pf P                [0]     per-channel I-frame error probability
-//   --pc P                [0]     per-channel control error probability
-//   --observe             [off]   collect metrics + capture artifacts
-//   --sample-ms MS        [off]   periodic registry samples in the capture,
-//                                 synthesized on the canonical merged stream
-//                                 (implies --observe; partition-invariant)
-//   --metrics-out FILE    write the metrics registry JSON (implies --observe)
-//   --capture-out FILE    write the raw .ldlcap bytes (implies --observe)
-//
-// The printed report and both artifact files are byte-identical at every
-// --partitions value — the PDES identity contract; scripts/ci.sh holds the
-// CLI to it with cmp.
-int run_network_command(int argc, char** argv) {
+int run_network_command(const Command& cmd, int argc, char** argv) {
   sim::NetworkRunConfig cfg;
   std::string metrics_out;
   std::string capture_out;
-  auto value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--help" || a == "-h") {
-      std::printf("flags for this subcommand: see the header of "
-                  "tools/lamsdlc_cli.cpp (run_network_command)\n");
-      return 0;
-    } else if (a == "--sats") {
-      cfg.satellites = parse_number<std::uint32_t>(a, value(i));
-    } else if (a == "--planes") {
-      cfg.planes = parse_number<std::uint32_t>(a, value(i));
-    } else if (a == "--partitions") {
-      cfg.partitions = parse_number<std::size_t>(a, value(i));
-    } else if (a == "--waves") {
-      cfg.waves = parse_number<std::uint32_t>(a, value(i));
-    } else if (a == "--packets-per-wave") {
-      cfg.packets_per_wave = parse_number<std::uint32_t>(a, value(i));
-    } else if (a == "--packet-bytes") {
-      cfg.packet_bytes = parse_number<std::uint32_t>(a, value(i));
-    } else if (a == "--message-segments") {
-      cfg.message_segments = parse_number<std::uint32_t>(a, value(i));
-    } else if (a == "--wave-interval-ms") {
-      cfg.wave_interval =
-          Time::milliseconds(parse_number<std::int64_t>(a, value(i)));
-    } else if (a == "--horizon-s") {
-      cfg.horizon = Time::seconds(parse_number<double>(a, value(i)));
-    } else if (a == "--max-range-km") {
-      cfg.max_range_m = parse_number<double>(a, value(i)) * 1e3;
-    } else if (a == "--seed") {
-      cfg.seed = parse_number<std::uint64_t>(a, value(i));
-    } else if (a == "--pf") {
-      cfg.p_frame = parse_probability(a, value(i));
-    } else if (a == "--pc") {
-      cfg.p_control = parse_probability(a, value(i));
-    } else if (a == "--observe") {
-      cfg.observe = true;
-    } else if (a == "--sample-ms") {
-      cfg.sample_period =
-          Time::milliseconds(parse_number<std::int64_t>(a, value(i)));
-      cfg.observe = true;
-    } else if (a == "--metrics-out") {
-      metrics_out = value(i);
-      cfg.observe = true;
-    } else if (a == "--capture-out") {
-      capture_out = value(i);
-      cfg.observe = true;
-    } else {
-      usage_error("unknown network flag " + a);
-    }
-  }
+  double range_km = cfg.max_range_m / 1e3;
+  const auto observe = [&cfg] { cfg.observe = true; };
+  const Flags flags = {
+      {"--sats", "N", "Walker total satellites", cfg.satellites},
+      {"--planes", "P", "Walker planes (must divide --sats)", cfg.planes},
+      {"--partitions", "K", "PDES logical processes (1 = serial)",
+       cfg.partitions, kPositive},
+      {"--waves", "W", "traffic bursts", cfg.waves},
+      {"--packets-per-wave", "N", "packets per burst", cfg.packets_per_wave},
+      {"--packet-bytes", "B", "packet size", cfg.packet_bytes},
+      {"--message-segments", "S", "also one S-segment message per wave",
+       cfg.message_segments},
+      {"--wave-interval-ms", "MS", "time between bursts", cfg.wave_interval,
+       1e-3},
+      {"--horizon-s", "S", "simulated-time limit", cfg.horizon, 1.0},
+      Flag{"--max-range-km", "KM", "ISL range (smaller: churn)", range_km}
+          .also([&] { cfg.max_range_m = range_km * 1e3; }),
+      {"--seed", "S", "random seed", cfg.seed},
+      {"--pf", "P", "I-frame error probability", cfg.p_frame, kProbability},
+      {"--pc", "P", "control error probability", cfg.p_control, kProbability},
+      {"--observe", "collect metrics + capture artifacts", cfg.observe},
+      Flag{"--sample-ms", "MS", "registry samples in the capture",
+           cfg.sample_period, 1e-3}
+          .also(observe),
+      Flag{"--metrics-out", "FILE", "write the metrics JSON", metrics_out}
+          .also(observe),
+      Flag{"--capture-out", "FILE", "write the .ldlcap bytes", capture_out}
+          .also(observe)};
+  parse_flags(cmd, flags, argc, argv, 2);
   if (cfg.satellites == 0 || cfg.planes == 0 ||
       cfg.satellites % cfg.planes != 0) {
-    usage_error("--sats must be a positive multiple of --planes");
+    usage_error(cmd, "--sats must be a positive multiple of --planes");
   }
-  if (cfg.partitions == 0) usage_error("--partitions must be >= 1");
 
   const sim::NetworkRunResult r = sim::run_network(cfg);
 
@@ -1584,43 +1113,103 @@ int run_network_command(int argc, char** argv) {
   return r.completed ? 0 : 1;
 }
 
+int run_serve_command(const Command& cmd, int argc, char** argv) {
+  return run_daemon_main(argc, argv, 2, cmd.prog.c_str());
+}
+
+struct Subcommand {
+  const char* name;
+  const char* about;    ///< One line; `lamsdlc_cli --help` lists it too.
+  const char* details;  ///< The rest of `<name> --help`'s description.
+  int (*run)(const Command&, int argc, char** argv);
+};
+
+constexpr Subcommand kSubcommands[] = {
+    {"chaos", "replay seeded fault schedules under the invariant checker",
+     "A violation prints the seed and its fault schedule and exits 1.",
+     run_chaos_command},
+    {"verify", "property-fuzzing + differential-oracle verification sweep",
+     "Hostile seeded scenarios are checked against the protocol invariants,\n"
+     "the SR/GBN differential oracle and the Section 4 closed forms, after a\n"
+     "codec mutation fuzz.  A failing seed shrinks to a `verify --repro`\n"
+     "line.  `verify --corrupt-state --help` covers the state-corruption tier.",
+     run_verify_command},
+    {"capture", "run one chaos seed, record events to an .ldlcap file",
+     "The capture format is described in docs/OBSERVABILITY.md.",
+     run_capture_command},
+    {"inspect", "decode an .ldlcap file to text, JSON or a timeline",
+     "Filters combine; --timeline buckets the matching records.",
+     run_inspect_command},
+    {"trace",
+     "reconstruct packet span trees, attribute latency, export Perfetto JSON",
+     "Reads a capture FILE, or runs one chaos seed live.  Exits 1 when a\n"
+     "delivered packet lacks a complete span tree.",
+     run_trace_command},
+    {"serve", "run the live transport daemon (same as the lamsdlcd binary)",
+     "", run_serve_command},
+    {"connect", "push one byte stream through a daemon's client bridge",
+     "Streams stdin (or --in FILE) to the bridge, half-closes, and waits for\n"
+     "the OK/ERR status line.  Exits 0 iff OK.",
+     run_connect_command},
+    {"status", "one-shot snapshot of a live daemon's introspection port",
+     "Queries `lamsdlcd --status`; the default output is one JSON line.",
+     run_status_command},
+    {"watch", "periodic sampled metric rates from a live daemon",
+     "Fetches the daemon's latest sampler tick each interval and prints\n"
+     "counter rates (computed client-side) and gauge levels.",
+     run_watch_command},
+    {"network",
+     "constellation-scale multi-hop run (optionally PDES-partitioned)",
+     "The report and both artifact files are byte-identical at every\n"
+     "--partitions value (scripts/ci.sh holds the CLI to it with cmp).",
+     run_network_command},
+};
+
+std::string subcommand_list() {
+  std::string list = "subcommands:\n";
+  for (const Subcommand& c : kSubcommands) {
+    char line[128];
+    std::snprintf(line, sizeof line, "  %-9s %s\n", c.name, c.about);
+    list += line;
+  }
+  return list + "  (none)    run one scenario from flags and print a report\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1) {
-    const std::string cmd = argv[1];
-    if (cmd == "chaos") return run_chaos_command(argc, argv);
-    if (cmd == "verify") return run_verify_command(argc, argv);
-    if (cmd == "capture") return run_capture_command(argc, argv);
-    if (cmd == "inspect") return run_inspect_command(argc, argv);
-    if (cmd == "trace") return run_trace_command(argc, argv);
-    if (cmd == "serve") {
-      return lamsdlc::tools::run_daemon_main(argc, argv, 2,
-                                             "lamsdlc_cli serve");
-    }
-    if (cmd == "connect") return run_connect_command(argc, argv);
-    if (cmd == "status") return run_status_command(argc, argv);
-    if (cmd == "watch") return run_watch_command(argc, argv);
-    if (cmd == "network") return run_network_command(argc, argv);
-    if (cmd == "--help" || cmd == "-h" || cmd == "help") {
-      print_help();
-      return 0;
-    }
-    if (!cmd.empty() && cmd[0] != '-') {
-      // A bare word that is not a subcommand must not fall through into the
-      // scenario flag parser — it would be silently ignored there.
-      std::fprintf(stderr, "lamsdlc_cli: unknown subcommand '%s'\n",
-                   cmd.c_str());
-      print_subcommands(stderr);
-      return 2;
+  const std::string_view first = argc > 1 ? argv[1] : "";
+  for (const Subcommand& c : kSubcommands) {
+    if (first == c.name) {
+      return c.run({"lamsdlc_cli " + std::string{c.name},
+                    std::string{c.about} + "\n" + c.details},
+                   argc, argv);
     }
   }
-  Options o = parse(argc, argv);
+  if (first == "help") {
+    static char help_flag[] = "--help";
+    argv[1] = help_flag;
+  } else if (!first.empty() && first[0] != '-') {
+    // A bare word that is not a subcommand must not fall through into the
+    // scenario flag parser.
+    std::fprintf(stderr, "lamsdlc_cli: unknown subcommand '%s'\n%s", argv[1],
+                 subcommand_list().c_str());
+    return 2;
+  }
+  const Options o = parse(
+      {"lamsdlc_cli",
+       "Simulates the LAMS-DLC ARQ protocol (and HDLC/NBDT baselines) over a\n"
+       "faulty link.  With no subcommand, runs one scenario from the flags\n"
+       "below and prints a report (or a CSV row with --csv).\n\n" +
+           subcommand_list() +
+           "\nRun `lamsdlc_cli <subcommand> --help` for that subcommand's "
+           "flags."},
+      argc, argv);
 
   sim::Scenario s{o.cfg};
   workload::submit_batch(s.simulator(), s.sender(), s.tracker(), s.ids(),
                          o.frames, o.cfg.frame_bytes);
-  const bool done = s.run_to_completion(Time::seconds(o.horizon_s));
+  const bool done = s.run_to_completion(o.horizon);
   const auto r = s.report();
 
   if (o.csv) {

@@ -2,8 +2,8 @@
 /// \brief The LAMS-DLC transport daemon: real UDP link, local client
 ///        bridge, delivery directory, optional impaired-link mode.
 ///
-/// All flags are documented in tools/daemon_opts.hpp (shared with
-/// `lamsdlc_cli serve`).  Quick start — two daemons on loopback:
+/// `lamsdlcd --help` lists every flag (shared with `lamsdlc_cli serve`).
+/// Quick start — two daemons on loopback:
 ///
 ///   lamsdlcd --port 47001 &
 ///   lamsdlcd --peer 127.0.0.1:47001 --bridge 47101 &
